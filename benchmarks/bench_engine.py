@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Engine fast-path benchmark: reference event path vs fast-path layers.
 
-Times one full fig11 workload (LLaMA-7B layer graphs, default scale) per
-system with every fast-path layer off and with all layers on, records
+Times one full fig11 workload per system — LLaMA-7B layer graphs built
+from the unscaled Table-I model, so at *full* token count, run with the
+DEFAULT scale's tiling and collective chunking — with every fast-path
+layer off and with all layers on, records
 per-layer timings for the headline system, and — in the same process —
 verifies the equivalence contract: the fast-path run must reproduce the
 reference makespan, total compute, TB count, and GPU utilization to

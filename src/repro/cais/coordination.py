@@ -5,7 +5,8 @@ merge unit sees them within one table-entry lifetime:
 
 * **Group Sync Table** (switch side, Fig. 8b): counts sync requests per
   (TB group, phase); when every participating GPU has registered, it
-  broadcasts a release.  Used for both *pre-launch* and *pre-access*
+  broadcasts a release.  Sync packets carry the :class:`SyncPhase` member
+  itself in ``meta["phase"]``.  Used for both *pre-launch* and *pre-access*
   synchronization.  The packets are empty (one flit), so a sync costs one
   GPU<->switch round trip (~0.5 us in the paper's setup).
 * **GPU-side synchronizer** protocol helpers: the actual module lives with
@@ -32,8 +33,9 @@ from ..obs import current_causality
 from ..obs.causality import BARRIER_SYNC
 
 
-class SyncPhase(enum.Enum):
-    """The two synchronization points of Section III-B-2."""
+class SyncPhase(str, enum.Enum):
+    """The two synchronization points of Section III-B-2.  A ``str`` enum,
+    so that the ``(group, phase)`` keys of the sync tables hash in C."""
 
     LAUNCH = "launch"        # before the TB is dispatched to an SM
     ACCESS = "access"        # at the first *.cais instruction of a warp
@@ -78,9 +80,8 @@ class GroupSyncTable:
             return False
         if msg.group_id is None:
             raise ProtocolError("sync request without a group id")
-        phase = SyncPhase(msg.meta["phase"])
         expected = msg.meta["expected"]
-        key = (msg.group_id, phase)
+        key = (msg.group_id, msg.meta["phase"])
         state = self._states.get(key)
         if state is None:
             state = _SyncState(expected=expected)
@@ -117,7 +118,7 @@ class GroupSyncTable:
         for gpu in state.arrived:
             release = Message(op=Op.SYNC_RELEASE, src=switch.node_id,
                               dst=gpu_node(gpu), group_id=group_id,
-                              meta={"phase": phase.value})
+                              meta={"phase": phase})
             switch.forward(release)
 
     def _timeout(self, switch: Switch, key: Tuple[int, SyncPhase]) -> None:

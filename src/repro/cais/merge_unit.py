@@ -47,7 +47,10 @@ from ..obs import current_causality, current_metrics, current_tracer
 from ..obs.causality import SWITCH_MERGE
 
 
-class SessionKind(enum.Enum):
+class SessionKind(str, enum.Enum):
+    """Merge-session kind.  A ``str`` enum, so that the ``(address, kind)``
+    table keys hash in C on every request."""
+
     LOAD = "load"
     REDUCTION = "reduction"
 
@@ -122,7 +125,6 @@ class MergeUnit:
         # Per home-port LRU table: port -> OrderedDict[key -> entry].
         self._tables: Dict[int, "OrderedDict[Tuple[Address, SessionKind], MergeEntry]"] = {}
         self._used: Dict[int, int] = {}
-        self._switch: Optional[Switch] = None
         # Fault-injection state (repro.faults): a drained unit stops
         # allocating sessions and bypasses everything; stale fills for
         # sessions killed by the drain are swallowed on arrival.
@@ -216,7 +218,6 @@ class MergeUnit:
     # SwitchEngine interface
     # ------------------------------------------------------------------
     def process(self, switch: Switch, msg: Message, in_port: int) -> bool:
-        self._switch = switch
         if msg.op is Op.LD_CAIS_REQ:
             self._on_load_request(switch, msg)
             return True
@@ -242,7 +243,6 @@ class MergeUnit:
         key = (addr, SessionKind.LOAD)
         table = self._table(addr.home_gpu)
         entry = table.get(key)
-        now = switch.sim.now
 
         if entry is None:
             entry = self._allocate(switch, addr, SessionKind.LOAD, chunk,
@@ -272,7 +272,7 @@ class MergeUnit:
         else:
             self._respond_load(switch, entry, requester)
             if entry.count >= entry.expected:
-                self._complete(switch, entry, now)
+                self._release(switch, entry, completed=True)
 
     def _on_load_fill(self, switch: Switch, msg: Message) -> None:
         addr = self._require_address(msg)
@@ -296,8 +296,8 @@ class MergeUnit:
         entry.waiters.clear()
         self._touch(switch, entry)
         if entry.count >= entry.expected or entry.evict_on_ready:
-            self._complete(switch, entry, switch.sim.now,
-                           completed=entry.count >= entry.expected)
+            self._release(switch, entry,
+                          completed=entry.count >= entry.expected)
             return
         # Grow the charge from metadata-only to the full content array.
         grow = entries_for(entry.chunk_bytes, self.entry_bytes) - 1
@@ -305,7 +305,7 @@ class MergeUnit:
                                           exclude=entry):
             # Cannot cache the data: answer the queued waiters (done above)
             # and retire without caching; later requests re-fetch.
-            self._complete(switch, entry, switch.sim.now, completed=False)
+            self._release(switch, entry, completed=False)
             return
         if grow > 0:
             entry.charged_entries += grow
@@ -359,7 +359,6 @@ class MergeUnit:
         key = (addr, SessionKind.REDUCTION)
         table = self._table(addr.home_gpu)
         entry = table.get(key)
-        now = switch.sim.now
 
         if entry is None:
             charge = entries_for(chunk, self.entry_bytes)
@@ -396,7 +395,7 @@ class MergeUnit:
         self._touch(switch, entry)
         if entry.count >= entry.expected:
             self._flush_reduction(switch, entry, partial=False)
-            self._complete(switch, entry, now)
+            self._release(switch, entry, completed=True)
 
     def _flush_reduction(self, switch: Switch, entry: MergeEntry,
                          partial: bool) -> None:
@@ -504,10 +503,6 @@ class MergeUnit:
         else:
             self.stats.timeout_evictions += 1
         self._release(switch, entry, completed=False)
-
-    def _complete(self, switch: Switch, entry: MergeEntry, now: float,
-                  completed: bool = True) -> None:
-        self._release(switch, entry, completed=completed)
 
     def _release(self, switch: Switch, entry: MergeEntry,
                  completed: bool) -> None:

@@ -5,8 +5,8 @@ they run without chunk callbacks) execute the *same* collective —
 transport, kind, byte count, chunking, fabric — hundreds of times per
 experiment, each time against a quiescent network.  Event-level simulation
 of such a phase is pure recomputation: its completion time and its entire
-side-effect footprint (link busy intervals, id-stream advances, switch
-counters) are a function of the signature alone.
+side-effect footprint (link busy intervals, id-stream advances) are a
+function of the signature alone.
 
 :class:`CollectiveFastPath` exploits this with a calibrate → validate →
 replay protocol:
@@ -23,8 +23,8 @@ replay protocol:
    signature.
 3. **Replay** — later occurrences skip event-level simulation: one
    completion event fires at ``t0 + duration``, and the captured deltas
-   are applied (link trackers, message/run-id streams, switch counters),
-   leaving downstream state where the event path would have left it.
+   are applied (link trackers, message/run-id streams), leaving
+   downstream state where the event path would have left it.
 
 A closed-form estimate of the uncongested phase (:func:`phase_estimate`)
 cross-checks every calibration; a gross disagreement is counted as a
@@ -126,9 +126,6 @@ class _Signature:
     ring_delta: int = 0
     nvls_delta: int = 0
     events_delta: int = 0
-    #: Per-switch (messages_handled delta, {op: count delta}).
-    switch_deltas: List[Tuple[int, Dict[object, int]]] = \
-        field(default_factory=list)
     analytic_rel_err: float = 0.0
 
 
@@ -219,8 +216,6 @@ class CollectiveFastPath:
         ring0 = _ring_mod._run_ids.value
         nvls0 = _nvls_mod._run_ids.value
         events0 = sim.events_processed
-        switches0 = [(sw.messages_handled, dict(sw.ops_seen))
-                     for sw in harness.network.switches]
         started = self._runs_started
         harness.fastpath_inflight += 1
 
@@ -236,7 +231,7 @@ class CollectiveFastPath:
             if sig.state == _CALIBRATING:
                 self._finish_calibration(
                     sig, kind, nbytes, t0, links, marks, msg0, ring0,
-                    nvls0, events0, switches0)
+                    nvls0, events0)
             elif sig.state == _VALIDATING:
                 self._finish_validation(sig, t0, msg0, ring0, nvls0)
             on_complete()
@@ -244,7 +239,7 @@ class CollectiveFastPath:
         self.comm.run(kind, nbytes, observed, None)
 
     def _finish_calibration(self, sig, kind, nbytes, t0, links, marks,
-                            msg0, ring0, nvls0, events0, switches0) -> None:
+                            msg0, ring0, nvls0, events0) -> None:
         sim = self.harness.sim
         sig.duration = sim.now - t0
         sig.msg_delta = _msg_ids.value - msg0
@@ -256,14 +251,6 @@ class CollectiveFastPath:
             delta = link.tracker.delta_since(mark, t0)
             if delta[0] or delta[1] or delta[2]:
                 sig.link_deltas.append((index, delta))
-        sig.switch_deltas = []
-        for sw, (handled0, ops0) in zip(self.harness.network.switches,
-                                        switches0):
-            ops_delta = {op: count - ops0.get(op, 0)
-                         for op, count in sw.ops_seen.items()
-                         if count - ops0.get(op, 0)}
-            sig.switch_deltas.append(
-                (sw.messages_handled - handled0, ops_delta))
         estimate = phase_estimate(self.transport, kind, nbytes,
                                   self._chunk_bytes, self.harness.config)
         if sig.duration > 0:
@@ -306,11 +293,6 @@ class CollectiveFastPath:
             links = harness.network.all_links()
             for index, delta in sig.link_deltas:
                 links[index].tracker.replay(delta, t0)
-            for sw, (handled, ops) in zip(harness.network.switches,
-                                          sig.switch_deltas):
-                sw.messages_handled += handled
-                for op, count in ops.items():
-                    sw.ops_seen[op] += count
             on_complete()
 
         sim.schedule(sig.duration, complete)

@@ -17,13 +17,14 @@ Design notes
   queue when they outnumber the live ones (timeout-heavy CAIS runs would
   otherwise drag dead timers through every queue operation).
 * Two interchangeable queue disciplines sit behind one three-method API
-  (``push``/``pop``/``peek``): the reference binary heap and a calendar
-  queue (bucketed by timestamp) with O(1) amortized push for the
-  near-monotonic timestamp distributions simulations produce.  Both fire
-  events in *exactly* the same ``(time, seq)`` order — entries are
-  ``(time, seq, event)`` tuples and ``seq`` is unique, so the order is a
-  total order independent of the container — which keeps every output
-  byte-identical across disciplines (property-tested in
+  (``push``, which returns the new queue length, ``pop`` and ``peek``):
+  the reference binary heap and a calendar queue (bucketed by timestamp)
+  with O(1) amortized push for the near-monotonic timestamp distributions
+  simulations produce.  Both fire events in *exactly* the same
+  ``(time, seq)`` order — entries are ``(time, seq, event)`` tuples and
+  ``seq`` is unique, so the order is a total order independent of the
+  container — which keeps every output byte-identical across
+  disciplines (property-tested in
   ``tests/properties/test_scheduler_equivalence.py``).  The calendar queue
   is selected by default via :mod:`repro.common.fastpath`.
 """
@@ -104,8 +105,9 @@ class HeapEventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, entry: _Entry) -> None:
+    def push(self, entry: _Entry) -> int:
         heappush(self._heap, entry)
+        return len(self._heap)
 
     def pop(self) -> _Entry:
         return heappop(self._heap)
@@ -169,7 +171,7 @@ class CalendarEventQueue:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, entry: _Entry) -> None:
+    def push(self, entry: _Entry) -> int:
         idx = int(entry[0] / self.width)
         if idx <= self._cur_idx:
             heappush(self._cur, entry)
@@ -183,6 +185,7 @@ class CalendarEventQueue:
         self._size += 1
         if self._size >= self._resize_up:
             self._resize()
+        return self._size
 
     def _advance(self) -> None:
         """Load the next non-empty future bucket into the current heap."""
@@ -445,11 +448,8 @@ class Simulator:
               args: tuple) -> Event:
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, seq, callback, args, owner=self,
-                   cause=self._causality.current)
-        queue = self._queue
-        queue.push((time, seq, ev))
-        depth = len(queue)
+        ev = Event(time, seq, callback, args, self, self._causality.current)
+        depth = self._queue.push((time, seq, ev))
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
         # Auto-compact: when dead timers dominate the queue, one O(n)

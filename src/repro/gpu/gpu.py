@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..cais.coordination import SyncPhase
 from ..common.config import GpuSpec
 from ..common.errors import ConfigError, SimulationError
 from ..common.events import Simulator
@@ -220,7 +221,6 @@ class Gpu:
                 tb.kernel.group_for(tb.block_idx) is not None)
 
     def _park_for_sync(self, tb: ThreadBlock) -> None:
-        from ..cais.coordination import SyncPhase
         tb.state = TBState.SYNC_LAUNCH
         group = tb.kernel.group_for(tb.block_idx)
         self._sync_pending[tb.pool] += 1

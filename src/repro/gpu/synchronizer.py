@@ -54,7 +54,7 @@ class Synchronizer:
         plane = self.network.route_plane(plane)
         msg = Message(op=Op.SYNC_REQ, src=gpu_node(self.gpu_index),
                       dst=switch_node(plane), group_id=group_id,
-                      meta={"phase": phase.value, "expected": expected})
+                      meta={"phase": phase, "expected": expected})
         self.network.up_links[(self.gpu_index, plane)].send(msg)
 
     # ------------------------------------------------------------------
@@ -63,9 +63,8 @@ class Synchronizer:
     def handle(self, msg: Message) -> bool:
         """Process a control message; True when consumed."""
         if msg.op is Op.SYNC_RELEASE:
-            phase = SyncPhase(msg.meta["phase"])
-            waiters = self._pending.pop((msg.group_id, phase), [])
-            for cb in waiters:
+            key = (msg.group_id, msg.meta["phase"])
+            for cb in self._pending.pop(key, []):
                 cb()
             return True
         if msg.op is Op.CREDIT:

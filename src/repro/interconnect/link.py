@@ -11,7 +11,9 @@ ablation (Section III-C, Figs. 15/16):
 * **FIFO** (default): a single queue — a burst of large reduction chunks
   head-of-line blocks small load requests behind it.
 * **Virtual channels**: one queue per :class:`TrafficClass` with round-robin
-  arbitration, which is CAIS's traffic control.
+  arbitration, which is CAIS's traffic control.  Queues live in a list
+  indexed by VC number (``Op.vc``, resolved once per op in
+  :mod:`.message`), so a send or a pick hashes no enum.
 
 Fast path (batched serialization windows)
 -----------------------------------------
@@ -33,7 +35,7 @@ state always use the reference event path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..common.config import LinkSpec
 from ..common.errors import SimulationError
@@ -41,9 +43,7 @@ from ..common.events import Simulator
 from ..metrics.bandwidth import BandwidthTracker
 from ..obs import current_causality, current_metrics, current_tracer
 from ..obs.causality import LINK_SERIALIZATION, NO_CAUSE
-from .message import Message, TrafficClass
-
-_RR_ORDER = (TrafficClass.CONTROL, TrafficClass.LOAD, TrafficClass.REDUCTION)
+from .message import VC_ORDER, Message, TrafficClass
 
 
 class Link:
@@ -66,8 +66,10 @@ class Link:
         self.tracker = BandwidthTracker()
         #: Set at wiring time; invoked with each delivered message.
         self.deliver: Optional[Callable[[Message], None]] = None
-        self._queues: Dict[TrafficClass, Deque[Message]] = {
-            tc: deque() for tc in _RR_ORDER}
+        # One queue per VC; a FIFO link uses only queue 0.  ``_depth``
+        # counts the messages waiting across all of them.
+        self._queues: List[Deque[Message]] = [deque() for _ in VC_ORDER]
+        self._depth = 0
         self._rr_index = 0
         self._busy = False
         self.peak_queue_depth = 0
@@ -132,9 +134,9 @@ class Link:
             return
         if self.deliver is None:
             raise SimulationError(f"link {self.name} is not wired")
-        queue = self._queue_for(msg)
-        queue.append(msg)
-        depth = sum(len(q) for q in self._queues.values())
+        self._queues[msg.op.vc if self.traffic_control else 0].append(msg)
+        depth = self._depth + 1
+        self._depth = depth
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
         if self._obs_on:
@@ -217,8 +219,8 @@ class Link:
                 pending.popleft()
             return len(pending)
         if traffic_class is not None and self.traffic_control:
-            return len(self._queues[traffic_class])
-        return sum(len(q) for q in self._queues.values())
+            return len(self._queues[traffic_class.vc])
+        return self._depth
 
     def wait_for_room(self, traffic_class: TrafficClass, limit: int,
                       callback: Callable[[], None]) -> None:
@@ -230,7 +232,9 @@ class Link:
         its peers by more than the VC depth.
         """
         if limit < 1:
-            raise SimulationError(f"backpressure limit must be >= 1")
+            raise SimulationError(
+                f"link {self.name}: backpressure limit must be >= 1, "
+                f"got {limit}")
         if self.queue_depth(traffic_class) < limit:
             callback()
         else:
@@ -336,57 +340,46 @@ class Link:
             return False
         if self._lazy:
             return self._free_at <= self.sim.now
-        return (not self._busy
-                and not any(self._queues.values()))
+        return not self._busy and not self._depth
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _queue_for(self, msg: Message) -> Deque[Message]:
-        if self.traffic_control:
-            return self._queues[msg.traffic_class]
-        return self._queues[TrafficClass.CONTROL]   # single shared FIFO
-
-    def _pick_next(self) -> Optional[Message]:
-        if not self.traffic_control:
-            queue = self._queues[TrafficClass.CONTROL]
-            return queue.popleft() if queue else None
-        # Round-robin across non-empty classes, continuing after the class
-        # served last so no class starves (paper: RR arbitration between the
-        # load and reduction virtual channels).
-        for step in range(len(_RR_ORDER)):
-            idx = (self._rr_index + step) % len(_RR_ORDER)
-            queue = self._queues[_RR_ORDER[idx]]
-            if queue:
-                self._rr_index = (idx + 1) % len(_RR_ORDER)
-                return queue.popleft()
-        return None
-
     def _start_next(self) -> None:
-        if self._down:
+        if self._down or not self._depth:
             self._busy = False
             return
-        msg = self._pick_next()
-        if msg is None:
-            self._busy = False
-            return
+        self._depth -= 1
+        queues = self._queues
+        if self.traffic_control:
+            # Round-robin across non-empty classes, continuing after the
+            # class served last so no class starves (paper: RR arbitration
+            # between the load and reduction virtual channels).
+            idx = self._rr_index
+            while not queues[idx]:
+                idx = (idx + 1) % len(queues)
+            self._rr_index = (idx + 1) % len(queues)
+            msg = queues[idx].popleft()
+        else:
+            msg = queues[0].popleft()
         self._busy = True
         bandwidth = self.spec.bandwidth_gbps
         if self._bw_factor != 1.0:
             bandwidth *= self._bw_factor
-        serialization = msg.wire_bytes() / bandwidth
+        wire = msg.wire_bytes()
+        serialization = wire / bandwidth
         now = self.sim.now
-        self.tracker.record(now, now + serialization, msg.wire_bytes())
+        self.tracker.record(now, now + serialization, wire)
         if self._obs_on:
             enq = self._enqueued_at.pop(id(msg), now)
             if self._mx.enabled:
                 self._h_qdelay.record(now - enq)
                 self._c_msgs.inc()
-                self._c_bytes.inc(msg.wire_bytes())
+                self._c_bytes.inc(wire)
             if self._tr.enabled:
                 self._tx_span = self._tr.begin(
                     self._track, f"tx {msg.op.value}", now, cat="link",
-                    args={"bytes": msg.wire_bytes(),
+                    args={"bytes": wire,
                           "queued_ns": now - enq})
         if self._cz.enabled:
             self._cz_tx = self._cz.node(
@@ -435,4 +428,5 @@ class Link:
                 self.sim.schedule(self.spec.latency_ns,
                                   self._deliver_event, msg)
         self._start_next()
-        self._admit_waiters()
+        if self._room_waiters:
+            self._admit_waiters()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 from ..common.ids import IdAllocator
 
 NodeId = Tuple[str, int]                 # ("gpu", 3) or ("sw", 0)
@@ -87,17 +87,34 @@ _LOAD_OPS = {Op.LOAD_REQ, Op.LOAD_RESP, Op.LD_CAIS_REQ, Op.LD_CAIS_RESP,
 _REDUCTION_OPS = {Op.RED, Op.RED_CAIS, Op.RED_CAIS_ACK, Op.MULTIMEM_RED,
                   Op.STORE, Op.MULTIMEM_ST}
 
+#: Virtual channels of a traffic-control link in round-robin order; a
+#: class's position here is its VC number.  Every ``TrafficClass`` and
+#: every ``Op`` carries its VC number as ``.vc``, resolved once here, so
+#: the link indexes its queues without hashing an enum per message.
+VC_ORDER = (TrafficClass.CONTROL, TrafficClass.LOAD, TrafficClass.REDUCTION)
+for _vc, _tc in enumerate(VC_ORDER):
+    _tc.vc = _vc
+for _op in Op:
+    _op.vc = (TrafficClass.LOAD if _op in _LOAD_OPS
+              else TrafficClass.REDUCTION if _op in _REDUCTION_OPS
+              else TrafficClass.CONTROL).vc
 
-@dataclass(frozen=True)
-class Address:
-    """A chunk-granular global address: the home GPU plus a byte offset."""
 
-    home_gpu: int
-    offset: int
+class Address(NamedTuple("_Address", [("home_gpu", int), ("offset", int)])):
+    """A chunk-granular global address: the home GPU plus a byte offset.
 
-    def __post_init__(self) -> None:
-        if self.home_gpu < 0 or self.offset < 0:
-            raise ValueError(f"invalid address {self}")
+    A tuple, so that the merge tables, chunk caches and reduction sinks
+    keyed by it hash and compare it in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, home_gpu: int, offset: int) -> "Address":
+        if home_gpu < 0 or offset < 0:
+            raise ValueError(
+                f"invalid address Address(home_gpu={home_gpu}, "
+                f"offset={offset})")
+        return super().__new__(cls, home_gpu, offset)
 
 
 #: Message-id stream (plane striping hashes on it); an IdAllocator so the
@@ -132,11 +149,7 @@ class Message:
     @property
     def traffic_class(self) -> TrafficClass:
         """Virtual-channel class this message travels in."""
-        if self.op in _LOAD_OPS:
-            return TrafficClass.LOAD
-        if self.op in _REDUCTION_OPS:
-            return TrafficClass.REDUCTION
-        return TrafficClass.CONTROL
+        return VC_ORDER[self.op.vc]
 
     def wire_bytes(self) -> int:
         """Bytes occupied on the wire, including per-packet flit headers."""

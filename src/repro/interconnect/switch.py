@@ -11,7 +11,6 @@ destination GPU.  Output contention and arbitration live in the output
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Protocol
 
 from ..common.config import SwitchSpec
@@ -66,12 +65,10 @@ class Switch:
         #: Set by fault injection when the whole plane is out of service for
         #: new traffic (in-flight messages still drain through it).
         self.failed = False
-        self.messages_handled = 0
         #: Messages inside the hop-latency pipeline (received, dispatch
         #: pending) — network-quiescence bookkeeping.  Fused link
         #: deliveries bypass :meth:`receive` and are tracked by the link.
         self.inflight_hops = 0
-        self.ops_seen: Counter = Counter()
         self._tr = current_tracer()
         self._mx = current_metrics()
         self._cz = current_causality()
@@ -110,8 +107,6 @@ class Switch:
         return True
 
     def _dispatch(self, msg: Message, in_port: int) -> None:
-        self.messages_handled += 1
-        self.ops_seen[msg.op] += 1
         if self._tr.enabled:
             track = self._port_tracks.get(in_port)
             if track is None:

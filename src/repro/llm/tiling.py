@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cais import compiler as cc
 from ..common.config import GpuSpec
@@ -117,7 +117,8 @@ class ActivationLayout:
 
     Row blocks are assigned to GPUs contiguously; when the block count does
     not divide evenly, the first ``num_blocks % tp`` shards carry one extra
-    block (the usual ragged contiguous partition).
+    block (the usual ragged contiguous partition).  The block count, the
+    shard split and ``block_bytes`` are computed once per layout.
     """
 
     tensor_id: int
@@ -134,24 +135,24 @@ class ActivationLayout:
                 f"layout has {self.num_blocks} row blocks for {self.tp} "
                 f"GPUs; shrink row_block or grow the tensor")
 
-    @property
+    @cached_property
     def num_blocks(self) -> int:
         return ceil_div(self.rows, self.row_block)
 
-    @property
+    @cached_property
     def _base(self) -> int:
         return self.num_blocks // self.tp
 
-    @property
+    @cached_property
     def _extra(self) -> int:
         return self.num_blocks % self.tp
 
-    @property
+    @cached_property
     def blocks_per_shard(self) -> int:
         """Largest shard size (shards differ by at most one block)."""
         return self._base + (1 if self._extra else 0)
 
-    @property
+    @cached_property
     def block_bytes(self) -> int:
         return self.row_block * self.row_bytes
 
@@ -236,14 +237,21 @@ def gemm_rs_kernel(op: LogicalOp, out_layout: ActivationLayout,
     tb_ns = gemm_tile_time_ns(tile, tile, shape.k, spec)
     subs, sub_bytes = reduction_sub_chunks(tile_bytes, tiling.red_chunk_bytes)
 
+    # A tile's reductions are the same on every GPU: build them once per
+    # tile, on first use, and hand each caller a fresh list.
+    table: Dict[Tuple[int, ...], Tuple[RemoteOp, ...]] = {}
+
     def reduces(gpu: int, bidx: Tuple[int, ...]) -> List[RemoteOp]:
-        mb, nb = bidx
-        base = out_layout.address(mb, nb, tile_bytes)
-        return [RemoteOp(RemoteOpKind.REDUCE,
-                         Address(base.home_gpu,
-                                 base.offset + c * sub_bytes),
+        ops = table.get(bidx)
+        if ops is None:
+            mb, nb = bidx
+            base = out_layout.address(mb, nb, tile_bytes)
+            ops = table[bidx] = tuple(
+                RemoteOp(RemoteOpKind.REDUCE,
+                         Address(base.home_gpu, base.offset + c * sub_bytes),
                          sub_bytes, transport=transport, expected=tp - 1)
-                for c in range(subs)]
+                for c in range(subs))
+        return list(ops)
 
     # Symbolic form for the compiler: home = mb // blocks_per_shard,
     # offset = base + mb*block + nb*tile — no gpuId: mergeable.
@@ -323,6 +331,34 @@ def ln_kernel(op: LogicalOp, in_layout: ActivationLayout,
                           compute_class="vector")
 
 
+def row_block_loads(layout: ActivationLayout, chunk_bytes: int, tp: int,
+                    transport: Transport) -> Callable[
+                        [int, Tuple[int, ...]], List[RemoteOp]]:
+    """``remote_loads`` of a TB reading all of row block ``bidx[0]``.
+
+    One load per ``chunk_bytes`` quantum, none on the block's home GPU.
+    The loads of a row block are the same for every column tile and every
+    other GPU, so they are built once per block, on first use; each
+    caller gets a fresh list.
+    """
+    chunks = layout.chunks_per_block(chunk_bytes)
+    table: Dict[int, Tuple[int, Tuple[RemoteOp, ...]]] = {}
+
+    def loads(gpu: int, bidx: Tuple[int, ...]) -> List[RemoteOp]:
+        mb = bidx[0]
+        entry = table.get(mb)
+        if entry is None:
+            entry = table[mb] = (layout.home_of_block(mb), tuple(
+                RemoteOp(RemoteOpKind.LOAD,
+                         layout.address(mb, c, chunk_bytes), chunk_bytes,
+                         transport=transport, expected=tp - 1)
+                for c in range(chunks)))
+        home, ops = entry
+        return [] if home == gpu else list(ops)
+
+    return loads
+
+
 # ---------------------------------------------------------------------------
 # Replicated vector op over an AllReduce result (AR-GEMM read semantics)
 # ---------------------------------------------------------------------------
@@ -347,17 +383,7 @@ def replicated_vector_kernel(op: LogicalOp, in_layout: ActivationLayout,
     grid = (in_layout.num_blocks,)
     row_elems = in_layout.block_bytes // 2
     tb_ns = vector_tb_time_ns(row_elems, op.flops_per_element, spec)
-    chunks = in_layout.chunks_per_block(tiling.chunk_bytes)
-
-    def loads(gpu: int, bidx: Tuple[int, ...]) -> List[RemoteOp]:
-        mb = bidx[0]
-        if in_layout.home_of_block(mb) == gpu:
-            return []
-        return [RemoteOp(RemoteOpKind.LOAD,
-                         in_layout.address(mb, c, tiling.chunk_bytes),
-                         tiling.chunk_bytes, transport=transport,
-                         expected=tp - 1)
-                for c in range(chunks)]
+    loads = row_block_loads(in_layout, tiling.chunk_bytes, tp, transport)
 
     def deps(gpu: int, bidx: Tuple[int, ...]) -> List[Tuple]:
         if not gated_on_rs:
@@ -425,17 +451,7 @@ def ag_gemm_kernel(op: LogicalOp, in_layout: ActivationLayout,
     tile = tiling.tile
     grid = (ceil_div(shape.m, tile), ceil_div(shape.n, tile))
     tb_ns = gemm_tile_time_ns(tile, tile, shape.k, spec)
-    chunks = in_layout.chunks_per_block(tiling.chunk_bytes)
-
-    def loads(gpu: int, bidx: Tuple[int, ...]) -> List[RemoteOp]:
-        mb = bidx[0]
-        if in_layout.home_of_block(mb) == gpu:
-            return []
-        return [RemoteOp(RemoteOpKind.LOAD,
-                         in_layout.address(mb, c, tiling.chunk_bytes),
-                         tiling.chunk_bytes, transport=transport,
-                         expected=tp - 1)
-                for c in range(chunks)]
+    loads = row_block_loads(in_layout, tiling.chunk_bytes, tp, transport)
 
     def deps(gpu: int, bidx: Tuple[int, ...]) -> List[Tuple]:
         if not gated_on_ln:

@@ -29,7 +29,7 @@ class Fabric:
              delay=0.0):
         msg = Message(Op.SYNC_REQ, gpu_node(gpu), ("sw", 0),
                       group_id=group_id,
-                      meta={"phase": phase.value, "expected": expected})
+                      meta={"phase": phase, "expected": expected})
         self.sim.schedule(delay, self.net.send_from_gpu, gpu, msg)
 
 
@@ -90,7 +90,7 @@ class TestGroupSyncTable:
     def test_missing_group_id_raises(self):
         f = Fabric()
         msg = Message(Op.SYNC_REQ, gpu_node(0), ("sw", 0),
-                      meta={"phase": "launch", "expected": 4})
+                      meta={"phase": SyncPhase.LAUNCH, "expected": 4})
         f.net.send_from_gpu(0, msg)
         with pytest.raises(ProtocolError):
             f.sim.run()

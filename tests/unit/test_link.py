@@ -6,7 +6,8 @@ from repro.common.config import LinkSpec
 from repro.common.errors import SimulationError
 from repro.common.events import Simulator
 from repro.interconnect.link import Link
-from repro.interconnect.message import Message, Op, gpu_node, switch_node
+from repro.interconnect.message import (
+    Message, Op, TrafficClass, gpu_node, switch_node)
 
 
 def make_link(sim, bandwidth=100.0, latency=250.0, traffic_control=False):
@@ -101,6 +102,66 @@ def test_round_robin_interleaves_classes():
     # Strict alternation after the first pick.
     assert classes[:4] in (["reduction", "load", "reduction", "load"],
                            ["load", "reduction", "load", "reduction"])
+
+
+def test_round_robin_service_order_across_three_classes():
+    """Exact service order of a traffic-control link: after the message
+    that found the link idle, the arbiter visits CONTROL, LOAD, REDUCTION
+    in turn, skips a class once it runs dry (LOAD, after one message) and
+    keeps rotating over the others."""
+    sim = Simulator()
+    link, delivered = make_link(sim, bandwidth=1.0, latency=0.0,
+                                traffic_control=True)
+    red = [data_msg(128, op=Op.RED_CAIS) for _ in range(4)]
+    load = Message(Op.LD_CAIS_RESP, gpu_node(0), gpu_node(1),
+                   payload_bytes=128)
+    ctrl = [Message(Op.SYNC_REQ, gpu_node(0), switch_node(0))
+            for _ in range(2)]
+    for msg in red + [load] + ctrl:
+        link.send(msg)
+    sim.run()
+    order = [red[0], ctrl[0], load, red[1], ctrl[1], red[2], red[3]]
+    assert [m for _, m in delivered] == order
+    # 144 ns per 128 B data message, 16 ns per control flit, back to back.
+    assert [t for t, _ in delivered] == [144.0, 160.0, 304.0, 448.0, 464.0,
+                                         608.0, 752.0]
+
+
+def test_per_class_depth_and_room_on_traffic_control_link():
+    sim = Simulator()
+    link, _ = make_link(sim, bandwidth=1.0, latency=0.0,
+                        traffic_control=True)
+    for _ in range(4):
+        link.send(data_msg(128, op=Op.RED_CAIS))    # first one serializes
+    link.send(Message(Op.LD_CAIS_RESP, gpu_node(0), gpu_node(1),
+                      payload_bytes=128))
+    for _ in range(2):
+        link.send(Message(Op.CREDIT, gpu_node(0), gpu_node(1)))
+    depths = {tc: link.queue_depth(tc) for tc in TrafficClass}
+    assert depths == {TrafficClass.REDUCTION: 3, TrafficClass.LOAD: 1,
+                      TrafficClass.CONTROL: 2}
+    assert link.queue_depth() == 6
+    fired = []
+    link.wait_for_room(TrafficClass.LOAD, 1, lambda: fired.append(
+        ("load", sim.now)))
+    link.wait_for_room(TrafficClass.REDUCTION, 2, lambda: fired.append(
+        ("reduction", sim.now)))
+    # The LOAD message leaves its queue when the second service starts
+    # (after the control flit at 160 ns); the REDUCTION queue first drops
+    # below 2 when its third message starts, after the second control
+    # flit (464 ns).
+    sim.run()
+    assert fired == [("load", 160.0), ("reduction", 464.0)]
+    assert link.queue_depth() == 0 and link.idle()
+
+
+def test_wait_for_room_rejects_bad_limit_naming_link_and_value():
+    sim = Simulator()
+    link, _ = make_link(sim, traffic_control=True)
+    with pytest.raises(SimulationError,
+                       match=r"link test: backpressure limit must be >= 1, "
+                             r"got 0"):
+        link.wait_for_room(TrafficClass.REDUCTION, 0, lambda: None)
 
 
 def test_tracker_records_bytes():

@@ -8,13 +8,16 @@ from repro.llm.graph import CommKind, GemmShape, Graph, LogicalOp, OpKind
 from repro.llm.models import (
     LLAMA_7B, LLAMA_FULL, MEGA_GPT_4B, MEGA_GPT_8B, TABLE_I, by_name)
 from repro.llm.tiling import (
-    ActivationLayout, TilingConfig, ag_gemm_kernel, compute_kernel,
-    gemm_rs_kernel, gemm_tile_time_ns, ln_kernel, make_layout,
+    TENSOR_STRIDE, ActivationLayout, TilingConfig, ag_gemm_kernel,
+    compute_kernel, gemm_rs_kernel, gemm_tile_time_ns, ln_kernel,
+    make_layout, reduction_sub_chunks, replicated_vector_kernel,
     reset_tensor_ids, rs_tokens, vector_tb_time_ns)
 from repro.llm.tp import (
     SUBLAYERS, basic_backward_layer, basic_forward_layer,
     sp_backward_layer, sp_forward_layer, sublayer_graph, training_graphs)
-from repro.gpu.remote_ops import RemoteOpKind, Transport
+from repro.gpu.kernels import block_indices
+from repro.gpu.remote_ops import RemoteOp, RemoteOpKind, Transport
+from repro.interconnect.message import Address
 
 
 class TestModels:
@@ -268,3 +271,85 @@ class TestTiling:
         k = gemm_rs_kernel(op, layout, self.spec, self.tiling, tp=8,
                            transport=Transport.DIRECT)
         assert not k.remote_reduces(0, (1, 0))[0].mergeable
+
+
+class TestTbRemoteOpTables:
+    """The per-kernel remote-op tables against the layout formula, on a
+    ragged layout (9 row blocks over 4 GPUs: shards of 3, 2, 2, 2)."""
+
+    TP = 4
+
+    def setup_method(self):
+        reset_tensor_ids()
+        self.spec = GpuSpec()
+        self.tiling = TilingConfig(chunk_bytes=32768, red_chunk_bytes=8192)
+        self.layout = make_layout(rows=9 * 128, row_bytes=1024, tp=self.TP)
+
+    def home(self, mb):
+        """Owner of row block ``mb`` from the shard boundaries alone."""
+        layout = self.layout
+        return next(g for g in range(self.TP)
+                    if layout.shard_start(g) <= mb
+                    < layout.shard_start(g) + layout.shard_blocks(g))
+
+    def expected_loads(self, gpu, mb):
+        chunk = self.tiling.chunk_bytes
+        if self.home(mb) == gpu:
+            return []
+        base = (self.layout.tensor_id * TENSOR_STRIDE
+                + mb * self.layout.block_bytes)
+        return [RemoteOp(RemoteOpKind.LOAD,
+                         Address(self.home(mb), base + c * chunk), chunk,
+                         transport=Transport.CAIS, expected=self.TP - 1)
+                for c in range(-(-self.layout.block_bytes // chunk))]
+
+    def load_kernels(self):
+        gemm = LogicalOp("ag", OpKind.GEMM, gemm=GemmShape(9 * 128, 512, 256))
+        vec = LogicalOp("rv", OpKind.VECTOR, elements=1 << 16)
+        return (ag_gemm_kernel(gemm, self.layout, self.spec, self.tiling,
+                               tp=self.TP),
+                replicated_vector_kernel(vec, self.layout, num_col_tiles=4,
+                                         spec=self.spec, tiling=self.tiling,
+                                         tp=self.TP))
+
+    def test_loads_match_layout_formula_for_every_gpu_and_block(self):
+        for kernel in self.load_kernels():
+            for gpu in range(self.TP):
+                for bidx in block_indices(kernel.grid):
+                    assert kernel.remote_loads(gpu, bidx) == \
+                        self.expected_loads(gpu, bidx[0]), (kernel.name,
+                                                            gpu, bidx)
+
+    def test_reduces_match_layout_formula_for_every_gpu_and_block(self):
+        op = LogicalOp("rs", OpKind.GEMM, gemm=GemmShape(9 * 128, 512, 256))
+        kernel = gemm_rs_kernel(op, self.layout, self.spec, self.tiling,
+                                tp=self.TP)
+        tile_bytes = self.layout.block_bytes // kernel.grid[1]
+        subs, sub_bytes = reduction_sub_chunks(tile_bytes,
+                                               self.tiling.red_chunk_bytes)
+        for gpu in range(self.TP):
+            for mb, nb in block_indices(kernel.grid):
+                base = (self.layout.tensor_id * TENSOR_STRIDE
+                        + mb * self.layout.block_bytes + nb * tile_bytes)
+                assert kernel.remote_reduces(gpu, (mb, nb)) == [
+                    RemoteOp(RemoteOpKind.REDUCE,
+                             Address(self.home(mb), base + c * sub_bytes),
+                             sub_bytes, transport=Transport.CAIS,
+                             expected=self.TP - 1)
+                    for c in range(subs)], (gpu, mb, nb)
+
+    def test_caller_mutation_does_not_reach_the_table(self):
+        op = LogicalOp("rs", OpKind.GEMM, gemm=GemmShape(9 * 128, 512, 256))
+        rs = gemm_rs_kernel(op, self.layout, self.spec, self.tiling,
+                            tp=self.TP)
+        ag, rv = self.load_kernels()
+        remote = self.home(0) + 1
+        for fn, gpu in ((rs.remote_reduces, 0), (ag.remote_loads, remote),
+                        (rv.remote_loads, remote), (ag.remote_loads, 0)):
+            first = fn(gpu, (0, 0))
+            want = list(first)
+            first.clear()
+            first.append("junk")
+            again = fn(gpu, (0, 0))
+            assert again == want and again is not first
+

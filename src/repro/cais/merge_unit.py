@@ -85,7 +85,10 @@ class MergeEntry:
     cached: Any = None                   # load content array
     charged_entries: int = 0
     evict_on_ready: bool = False
+    #: The session's one queued timeout timer (None when none is queued),
+    #: and the sequence number its latest re-arm reserved (see _touch).
     timeout_event: Optional[Event] = None
+    timer_seq: int = -1
     obs_aid: int = -1                    # async-span id (tracing only)
     #: Causal-node ids of the switch-hop events that delivered each
     #: contribution (repro.obs.causality; filled only when recording).
@@ -516,6 +519,9 @@ class MergeUnit:
                                     -entry.charged_entries)
         if entry.timeout_event is not None:
             entry.timeout_event.cancel()
+            # Break the entry <-> timer reference cycle, so the retired
+            # session is freed by reference counting.
+            entry.timeout_event = None
         if completed:
             self.stats.sessions_completed += 1
             self.stats.record_session_wait(entry.first_arrival,
@@ -534,30 +540,56 @@ class MergeUnit:
         switch.forward(credit)
 
     def _touch(self, switch: Switch, entry: MergeEntry) -> None:
-        entry.last_access = switch.sim.now
+        """Restart the session's idle timeout.
+
+        The timeout is due ``timeout_ns`` after the last access.  Rather
+        than cancel and re-queue the timer on every touch, a session keeps
+        one queued timer: a touch records ``last_access`` and reserves the
+        sequence number a re-queued timer would take, and a timer that
+        fires while a later touch is pending re-queues itself at exactly
+        that ``(last_access + timeout_ns, seq)``.  Every event keeps the
+        (time, seq) it would have had, so the firing order is unchanged;
+        only the early fires are extra events.
+        """
+        sim = switch.sim
+        entry.last_access = sim.now
         if self.timeout_ns is None:
             return
-        if entry.timeout_event is not None:
-            entry.timeout_event.cancel()
-        entry.timeout_event = switch.sim.schedule(
-            self.timeout_ns, self._on_timeout, switch, entry)
+        if entry.timeout_event is None:
+            self._arm(switch, entry, self.timeout_ns)
+        else:
+            entry.timer_seq = sim.seq_allocated
+            sim.advance_seq(1)
+
+    def _arm(self, switch: Switch, entry: MergeEntry, delay: float) -> None:
+        event = switch.sim.schedule(delay, self._on_timeout, switch, entry)
+        entry.timeout_event = event
+        entry.timer_seq = event.seq
 
     def _on_timeout(self, switch: Switch, entry: MergeEntry) -> None:
         table = self._tables.get(entry.home, {})
         key = (entry.address, entry.kind)
         if table.get(key) is not entry:
             return                      # stale timer for a retired session
+        if entry.timeout_event.seq != entry.timer_seq:
+            # Touched since this timer was queued: take the place of the
+            # timer that touch would have queued.
+            entry.timeout_event = switch.sim.schedule_at(
+                entry.last_access + self.timeout_ns, self._on_timeout,
+                switch, entry, seq=entry.timer_seq)
+            return
         idle = switch.sim.now - entry.last_access
         # The small epsilon absorbs float error when the timer fires at
         # exactly last_access + timeout; an early fire re-arms the timer
         # instead of silently stranding the session.
         if idle + 1e-6 < self.timeout_ns:
-            entry.timeout_event = switch.sim.schedule(
-                self.timeout_ns - idle, self._on_timeout, switch, entry)
+            self._arm(switch, entry, self.timeout_ns - idle)
             return
+        entry.timeout_event = None
         if entry.status is Status.LOAD_WAIT:
             # The fill from the home GPU is still outstanding; free the
-            # session as soon as it lands instead of dropping it.
+            # session as soon as it lands instead of dropping it (its
+            # next touch arms a fresh timer).
             entry.evict_on_ready = True
             return
         self._evict(switch, entry, reason="timeout")

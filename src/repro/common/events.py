@@ -11,22 +11,25 @@ Design notes
   increasing sequence number breaks ties), which makes runs fully
   deterministic for a fixed seed.
 * Events are cancellable: :meth:`Event.cancel` marks the event dead and the
-  main loop skips it.  This supports timeout timers (CAIS merge-entry
-  timeouts) that are usually disarmed before they fire.  The simulator
-  tracks how many cancelled events sit in the queue and auto-compacts the
-  queue when they outnumber the live ones (timeout-heavy CAIS runs would
-  otherwise drag dead timers through every queue operation).
+  main loop skips it.  This supports timeout timers that are disarmed
+  before they fire.  The simulator tracks how many cancelled events still
+  sit in the queue (cancelling an event that already fired counts
+  nothing) and auto-compacts the queue when they outnumber the live ones.
 * Two interchangeable queue disciplines sit behind one three-method API
   (``push``, which returns the new queue length, ``pop`` and ``peek``):
-  the reference binary heap and a calendar queue (bucketed by timestamp)
-  with O(1) amortized push for the near-monotonic timestamp distributions
-  simulations produce.  Both fire events in *exactly* the same
-  ``(time, seq)`` order — entries are ``(time, seq, event)`` tuples and
-  ``seq`` is unique, so the order is a total order independent of the
-  container — which keeps every output byte-identical across
-  disciplines (property-tested in
-  ``tests/properties/test_scheduler_equivalence.py``).  The calendar queue
-  is selected by default via :mod:`repro.common.fastpath`.
+  the reference binary heap and a calendar queue (bucketed by timestamp).
+  Both fire events in *exactly* the same ``(time, seq)`` order — entries
+  are ``(time, seq, event)`` tuples and ``seq`` is unique, so the order is
+  a total order independent of the container — which keeps every output
+  byte-identical across disciplines (property-tested in
+  ``tests/properties/test_scheduler_equivalence.py``).  The heap is the
+  default; the calendar queue is selected by
+  ``FastPathConfig.calendar_queue`` (:mod:`repro.common.fastpath`).
+* On the heap, :meth:`Simulator.schedule`/:meth:`Simulator.schedule_at`
+  push straight onto the heap list, and :meth:`Simulator.run` without
+  ``until``/``max_events``, profiler or causal recording pops straight off
+  it in one fused loop.  Every other case takes the general loop; both
+  fire the same events in the same order.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
+        # The simulator whose queue holds the event; cleared when the
+        # event fires, so that a later cancel() counts nothing.
         self.owner = owner
         # Ambient causal-node id captured at schedule time (repro.obs
         # .causality); restored before the callback fires so causality
@@ -71,12 +76,15 @@ class Event:
         self.cause = cause
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
+        """Prevent the event from firing.  Idempotent, and a no-op on the
+        queue's books once the event has fired (including from inside its
+        own callback)."""
         if self.cancelled:
             return
         self.cancelled = True
-        if self.owner is not None:
-            self.owner._cancelled_live += 1
+        owner = self.owner
+        if owner is not None:
+            owner._cancelled_live += 1
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
@@ -288,11 +296,11 @@ def _make_queue(scheduler: str):
 class Simulator:
     """Priority-queue discrete-event simulator.
 
-    ``scheduler`` selects the queue discipline (``"calendar"`` or
-    ``"heap"``); by default it follows the process-global
-    :func:`repro.common.fastpath.config`.  Both disciplines fire events in
-    identical order (see module docstring), so the choice never affects
-    simulation output.
+    ``scheduler`` selects the queue discipline (``"heap"`` or
+    ``"calendar"``); by default it follows the process-global
+    :func:`repro.common.fastpath.config`, whose default is the heap.  Both
+    disciplines fire events in identical order (see module docstring), so
+    the choice never affects simulation output.
 
     Example
     -------
@@ -312,9 +320,13 @@ class Simulator:
         self.scheduler = scheduler
         self._now: float = 0.0
         self._queue = _make_queue(scheduler)
+        # The heap discipline's list, which scheduling and the fused run
+        # loop push and pop directly; None on the calendar queue.
+        self._heap: Optional[List[_Entry]] = (
+            self._queue._heap if scheduler == "heap" else None)
         # Next event sequence number.  A plain int (not itertools.count) so
-        # the analytic bypass can read and bulk-advance it — keeping later
-        # tie-breaking identical to what the event path would have produced.
+        # that callers can reserve numbers (seq_allocated + advance_seq)
+        # for an event they queue later with schedule_at(..., seq=...).
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -410,6 +422,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # ``schedule`` and ``schedule_at`` share their body, written out in
+    # each: they run once per event, and a shared helper would add a call.
+
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` ns from now."""
@@ -417,21 +432,56 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event {delay} ns in the past "
                 f"(now={self._now})")
-        return self._push(self._now + delay, callback, args)
+        time = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, seq, callback, args, self, self._causality.current)
+        heap = self._heap
+        if heap is None:
+            depth = self._queue.push((time, seq, ev))
+        else:
+            heappush(heap, (time, seq, ev))
+            depth = len(heap)
+        if depth > self._peak_queue_depth:
+            self._peak_queue_depth = depth
+        if (self._cancelled_live * 2 > depth
+                and depth >= _AUTO_COMPACT_MIN_QUEUE):
+            self._auto_compact()
+        return ev
 
     def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any) -> Event:
+                    *args: Any, seq: Optional[int] = None) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time`` ns.
 
         The timestamp is used exactly as given — no round-trip through a
         relative delay, which would perturb absolute times by float
         rounding (``now + (time - now) != time`` in general).
+
+        ``seq`` queues the event under a sequence number reserved earlier
+        with :attr:`seq_allocated` and :meth:`advance_seq`, instead of the
+        next one: the event then takes the place, among same-instant
+        events, of one scheduled at the moment of the reservation.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} ns, in the past "
                 f"(now={self._now})")
-        return self._push(time, callback, args)
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        ev = Event(time, seq, callback, args, self, self._causality.current)
+        heap = self._heap
+        if heap is None:
+            depth = self._queue.push((time, seq, ev))
+        else:
+            heappush(heap, (time, seq, ev))
+            depth = len(heap)
+        if depth > self._peak_queue_depth:
+            self._peak_queue_depth = depth
+        if (self._cancelled_live * 2 > depth
+                and depth >= _AUTO_COMPACT_MIN_QUEUE):
+            self._auto_compact()
+        return ev
 
     @property
     def seq_allocated(self) -> int:
@@ -439,28 +489,19 @@ class Simulator:
         return self._seq
 
     def advance_seq(self, n: int) -> None:
-        """Skip ``n`` sequence numbers (analytic-bypass replay only)."""
+        """Skip ``n`` sequence numbers, reserving them for
+        :meth:`schedule_at`."""
         if n < 0:
             raise SimulationError(f"cannot advance seq by {n}")
         self._seq += n
 
-    def _push(self, time: float, callback: Callable[..., None],
-              args: tuple) -> Event:
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(time, seq, callback, args, self, self._causality.current)
-        depth = self._queue.push((time, seq, ev))
-        if depth > self._peak_queue_depth:
-            self._peak_queue_depth = depth
-        # Auto-compact: when dead timers dominate the queue, one O(n)
-        # rebuild beats dragging them through every push/pop.
-        if (self._cancelled_live * 2 > depth
-                and depth >= _AUTO_COMPACT_MIN_QUEUE):
-            self.drain_cancelled()
-            self._auto_compactions += 1
-            if self._metrics.enabled:
-                self._metrics.counter("sim.auto_compactions").inc()
-        return ev
+    def _auto_compact(self) -> None:
+        """Dead timers dominate the queue: one O(n) rebuild beats
+        dragging them through every push and pop."""
+        self.drain_cancelled()
+        self._auto_compactions += 1
+        if self._metrics.enabled:
+            self._metrics.counter("sim.auto_compactions").inc()
 
     # ------------------------------------------------------------------
     # Execution
@@ -468,14 +509,15 @@ class Simulator:
     def _dispatch(self, ev: Event) -> None:
         """Advance the clock to ``ev`` and fire it.
 
-        The one dispatch path shared by :meth:`step` and :meth:`run` —
-        clock monotonicity check, causality restore, profiler wrap.
+        The dispatch path shared by :meth:`step` and the general run loop
+        — clock monotonicity check, causality restore, profiler wrap.
         """
         if ev.time < self._now:
             raise SimulationError(
                 f"event queue time went backwards: {ev.time} < {self._now}")
         self._now = ev.time
         self._events_processed += 1
+        ev.owner = None
         causality = self._causality
         if causality.enabled:
             causality.current = ev.cause
@@ -510,48 +552,75 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        # Hot loop: hoist attribute lookups out of the per-event path
-        # (this loop fires every event of every simulation).  The queue
-        # object is mutated in place everywhere (drain_cancelled included),
-        # so the local bindings stay valid across callbacks.
-        queue = self._queue
-        peek = queue.peek
-        pop = queue.pop
-        dispatch = self._dispatch
-        fired = 0
         wall_start = perf_counter()
         try:
-            while True:
-                if max_events is not None and fired >= max_events:
-                    return
-                entry = peek()
-                if entry is None:
-                    break
-                ev = entry[2]
-                if ev.cancelled:
-                    pop()
-                    self._cancelled_live -= 1
-                    continue
-                if until is not None and entry[0] > until:
-                    self._now = until
-                    return
-                pop()
-                dispatch(ev)
-                fired += 1
-            if until is not None and until > self._now:
-                self._now = until
+            heap = self._heap
+            if (heap is not None and until is None and max_events is None
+                    and self._profiler is None
+                    and not self._causality.enabled):
+                # Fused loop: the common case, popping straight off the
+                # heap.  ``_events_processed`` stays live per event (the
+                # fault watchdog and the analytic collective bypass read
+                # it mid-run), and drain_cancelled() compacts the heap list
+                # in place, so ``heap`` stays valid across callbacks.
+                while heap:
+                    time, _, ev = heappop(heap)
+                    if ev.cancelled:
+                        self._cancelled_live -= 1
+                        continue
+                    if time < self._now:
+                        raise SimulationError(
+                            f"event queue time went backwards: "
+                            f"{time} < {self._now}")
+                    self._now = time
+                    self._events_processed += 1
+                    ev.owner = None
+                    ev.callback(*ev.args)
+            else:
+                self._run_general(until, max_events)
         finally:
             self._running = False
             self._wall_seconds += perf_counter() - wall_start
             self.publish_metrics()
 
+    def _run_general(self, until: Optional[float],
+                     max_events: Optional[int]) -> None:
+        """The loop for every discipline and option: ``until``,
+        ``max_events``, the profiler and causal recording."""
+        # The queue object is mutated in place everywhere (drain_cancelled
+        # included), so the local bindings stay valid across callbacks.
+        queue = self._queue
+        peek = queue.peek
+        pop = queue.pop
+        dispatch = self._dispatch
+        fired = 0
+        while True:
+            if max_events is not None and fired >= max_events:
+                return
+            entry = peek()
+            if entry is None:
+                break
+            ev = entry[2]
+            if ev.cancelled:
+                pop()
+                self._cancelled_live -= 1
+                continue
+            if until is not None and entry[0] > until:
+                self._now = until
+                return
+            pop()
+            dispatch(ev)
+            fired += 1
+        if until is not None and until > self._now:
+            self._now = until
+
     def drain_cancelled(self) -> None:
         """Compact the queue by dropping cancelled events.
 
-        Mutates the queue object in place: :meth:`run` holds local
-        references to its methods across callbacks (which may trigger
-        auto-compaction via :meth:`schedule`), so the queue's identity must
-        never change.
+        Mutates the queue object and the heap list in place: :meth:`run`
+        holds local references to them across callbacks (which may trigger
+        auto-compaction via :meth:`schedule`), so their identity must never
+        change.
         """
         self._queue.compact()
         self._cancelled_live = 0

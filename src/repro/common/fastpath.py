@@ -4,9 +4,10 @@ Four composable acceleration layers (see DESIGN.md §11), each of which is
 *equivalence-preserving* in a precisely stated sense:
 
 * ``calendar_queue`` — bucketed event scheduler in
-  :class:`repro.common.events.Simulator`.  Fires events in exactly the same
-  ``(time, seq)`` order as the reference heap, so enabling it never changes
-  any output byte.
+  :class:`repro.common.events.Simulator`, off by default: it never measured
+  faster than the binary heap, whose push and pop the engine inlines.
+  Fires events in exactly the same ``(time, seq)`` order as the heap, so
+  enabling it never changes any output byte.
 * ``link_windows`` — batched serialization on uncontended FIFO links
   (:mod:`repro.interconnect.link`).  Per-chunk timestamps are reproduced
   exactly; only event *count* and same-instant interleaving differ.
@@ -38,8 +39,8 @@ from typing import Iterator, Optional
 class FastPathConfig:
     """Which acceleration layers are active, plus their tuning knobs."""
 
-    #: Use the calendar-queue scheduler instead of the reference heap.
-    calendar_queue: bool = True
+    #: Use the calendar-queue scheduler instead of the binary heap.
+    calendar_queue: bool = False
     #: Collapse per-chunk serialization events on uncontended FIFO links.
     link_windows: bool = True
     #: Bypass event-level simulation for validated uncongested collectives.

@@ -67,6 +67,14 @@ class Executor:
         self._red_seq = 0
         self.rng = RngPool(config.seed)
         self._jitter_enabled = jitter_enabled
+        # Per-TB phase jitter: one buffered stream per GPU, shared by the
+        # event path and the analytic kernel replay.
+        mag = config.jitter.tb_jitter
+        self._tb_jitter_on = jitter_enabled and mag != 0.0
+        self._tb_jitter_bounds = (-mag, mag)
+        self._tb_jitter = ([self.rng.buffered(f"tb-jitter-{g}")
+                            for g in range(config.num_gpus)]
+                           if self._tb_jitter_on else [])
         window = config.jitter.dispatch_shuffle_window if jitter_enabled else 1
         self.gpus: List[Gpu] = []
         for g in range(config.num_gpus):
@@ -328,18 +336,16 @@ class Executor:
         if on_complete is not None:
             self._kernel_done_cbs.setdefault(
                 kernel.kernel_id, []).append(on_complete)
-        mag = self.config.jitter.tb_jitter
-        jitter_on = self._jitter_enabled and mag != 0.0
+        jitter_on = self._tb_jitter_on
+        low, high = self._tb_jitter_bounds
         pre_ns = kernel.tb_pre_ns
         post_ns = kernel.tb_post_ns
         overhead = kernel.launch_overhead_ns
         skew_stream = self.rng.stream("gpu-skew")
         # Exactly 2 jitter draws per TB (pre + post, drawn even when
-        # tb_post_ns == 0), consumed in per-GPU event order below.  A
-        # batched draw is bit-identical to the scalar sequence and leaves
-        # the stream in the same state; tolist() keeps the values exact.
-        jit = ([self.rng.stream(f"tb-jitter-{g}").uniform(
-                    -mag, mag, 2 * blocks).tolist()
+        # tb_post_ns == 0), consumed in per-GPU event order below, taken
+        # from the same buffer the event path draws from.
+        jit = ([self._tb_jitter[g].uniforms(low, high, 2 * blocks)
                 for g in range(num_gpus)] if jitter_on else None)
         jidx = [0] * num_gpus
         cap = []
@@ -387,7 +393,7 @@ class Executor:
             t, _, kind, g = pop(heap)
             if kind == AFTER_PRE:
                 if jitter_on:
-                    j = 1.0 + float(jit[g][jidx[g]])
+                    j = 1.0 + jit[g][jidx[g]]
                     jidx[g] += 1
                 else:
                     j = 1.0
@@ -409,7 +415,7 @@ class Executor:
                     used[g] += 1
                     dispatched[g] += 1
                     if jitter_on:
-                        j = 1.0 + float(jit[g][jidx[g]])
+                        j = 1.0 + jit[g][jidx[g]]
                         jidx[g] += 1
                     else:
                         j = 1.0
@@ -425,7 +431,7 @@ class Executor:
                     intg += u * (t - snc)
                     snc = t
                     if jitter_on:
-                        j = 1.0 + float(jit[g][jidx[g]])
+                        j = 1.0 + jit[g][jidx[g]]
                         jidx[g] += 1
                     else:
                         j = 1.0
@@ -491,10 +497,12 @@ class Executor:
         self._tb_pre(tb)
 
     def _jitter(self, gpu_index: int) -> float:
-        if not self._jitter_enabled:
+        """One TB phase's jitter factor; equal to
+        ``self.rng.jitter(f"tb-jitter-{gpu_index}", tb_jitter)``."""
+        if not self._tb_jitter_on:
             return 1.0
-        return self.rng.jitter(f"tb-jitter-{gpu_index}",
-                               self.config.jitter.tb_jitter)
+        low, high = self._tb_jitter_bounds
+        return 1.0 + self._tb_jitter[gpu_index].uniform(low, high)
 
     def _tb_pre(self, tb: ThreadBlock) -> None:
         tb.state = TBState.COMPUTE_PRE

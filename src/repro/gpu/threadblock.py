@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from .kernels import KernelInstance
@@ -20,19 +19,15 @@ class TBState(enum.Enum):
     DONE = "done"
 
 
-@dataclass
 class ThreadBlock:
-    """One TB of one kernel on one GPU."""
+    """One TB of one kernel on one GPU.
 
-    kernel: KernelInstance
-    gpu_index: int
-    block_idx: Tuple[int, ...]
-    state: TBState = TBState.WAITING_DEPS
-    loads_outstanding: int = 0
-    #: Pre-launch TB-group sync already granted (paper Section III-B-2).
-    prelaunch_synced: bool = False
-    dispatch_time: float = field(default=-1.0)
-    complete_time: float = field(default=-1.0)
+    A plain class with a hand-written constructor rather than a
+    dataclass: the constructor sets only the lifecycle fields, and the
+    tracing and causality fields, which only instrumented runs write,
+    read their class-level defaults until then.
+    """
+
     #: Tracing state (set by the executor only when tracing is enabled):
     #: the SM-slot lane this TB renders on, and its open span handles.
     obs_lane: int = -1
@@ -51,6 +46,23 @@ class ThreadBlock:
     cz_release_kind: str = "seq"
     cz_pre_start: float = -1.0
     cz_post_start: float = -1.0
+
+    def __init__(self, kernel: KernelInstance, gpu_index: int,
+                 block_idx: Tuple[int, ...],
+                 state: TBState = TBState.WAITING_DEPS,
+                 loads_outstanding: int = 0,
+                 prelaunch_synced: bool = False,
+                 dispatch_time: float = -1.0,
+                 complete_time: float = -1.0) -> None:
+        self.kernel = kernel
+        self.gpu_index = gpu_index
+        self.block_idx = block_idx
+        self.state = state
+        self.loads_outstanding = loads_outstanding
+        #: Pre-launch TB-group sync already granted (paper Section III-B-2).
+        self.prelaunch_synced = prelaunch_synced
+        self.dispatch_time = dispatch_time
+        self.complete_time = complete_time
 
     @property
     def pool(self) -> str:

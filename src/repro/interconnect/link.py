@@ -112,6 +112,10 @@ class Link:
         # Network when the receiver is a switch and fusing is legal.
         self._fused_hop: Optional[Tuple[Callable[..., None], int, float]] = \
             None
+        # Per-message event callbacks, bound once instead of per schedule.
+        self._serialized_cb = self._on_serialized
+        self._deliver_cb = self._deliver_event
+        self._deliver_fused_cb = self._deliver_fused
         # Batched-window fast-path state.
         self._lazy = (fastpath_windows and not traffic_control
                       and not self._tr.enabled and not self._cz.enabled)
@@ -205,10 +209,10 @@ class Link:
             if self._mx.enabled:
                 self._c_fp_elided.inc()
             arrival = end + self.spec.latency_ns
-            sim.schedule_at(arrival + fused[2], self._deliver_fused, msg)
+            sim.schedule_at(arrival + fused[2], self._deliver_fused_cb, msg)
         else:
             sim.schedule_at(end + self.spec.latency_ns,
-                            self._deliver_event, msg)
+                            self._deliver_cb, msg)
 
     def queue_depth(self, traffic_class: Optional[TrafficClass] = None) -> int:
         """Messages currently waiting (not including the one serializing)."""
@@ -387,7 +391,7 @@ class Link:
                 f"tx {msg.op.value} {self.name}",
                 parents=((self._cz_pending.pop(id(msg), NO_CAUSE),
                           "queue"),))
-        self.sim.schedule(serialization, self._on_serialized, msg)
+        self.sim.schedule(serialization, self._serialized_cb, msg)
 
     def _deliver_event(self, msg: Message) -> None:
         self.inflight_deliveries -= 1
@@ -423,10 +427,10 @@ class Link:
                 if self._mx.enabled:
                     self._c_fp_elided.inc()
                 self.sim.schedule_at(arrival + fused[2],
-                                     self._deliver_fused, msg)
+                                     self._deliver_fused_cb, msg)
             else:
                 self.sim.schedule(self.spec.latency_ns,
-                                  self._deliver_event, msg)
+                                  self._deliver_cb, msg)
         self._start_next()
         if self._room_waiters:
             self._admit_waiters()

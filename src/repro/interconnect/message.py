@@ -19,7 +19,6 @@ Operation kinds cover the three protocol families in the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 from ..common.ids import IdAllocator
 
@@ -123,28 +122,39 @@ class Address(NamedTuple("_Address", [("home_gpu", int), ("offset", int)])):
 _msg_ids = IdAllocator()
 
 
-@dataclass
 class Message:
     """One logical transfer between two nodes.
 
     ``payload_bytes`` is the data volume carried (0 for pure control
     packets); ``payload`` optionally carries a functional value (used by
-    correctness tests to verify in-switch reductions numerically).
+    correctness tests to verify in-switch reductions numerically);
+    ``group_id`` names a TB group or multicast group; ``meta`` defaults to
+    a fresh dict and ``msg_id`` to the next id of the message-id stream.
+
+    A plain slotted class rather than a dataclass: a serving run builds
+    hundreds of thousands of messages, and the hand-written constructor
+    is the cheapest.
     """
 
-    op: Op
-    src: NodeId
-    dst: NodeId
-    payload_bytes: int = 0
-    address: Optional[Address] = None
-    payload: Any = None
-    group_id: Optional[int] = None       # TB group / multicast group
-    meta: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=_msg_ids)
+    __slots__ = ("op", "src", "dst", "payload_bytes", "address", "payload",
+                 "group_id", "meta", "msg_id")
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
-            raise ValueError(f"negative payload: {self.payload_bytes}")
+    def __init__(self, op: Op, src: NodeId, dst: NodeId,
+                 payload_bytes: int = 0, address: Optional[Address] = None,
+                 payload: Any = None, group_id: Optional[int] = None,
+                 meta: Optional[Dict[str, Any]] = None,
+                 msg_id: Optional[int] = None) -> None:
+        if payload_bytes < 0:
+            raise ValueError(f"negative payload: {payload_bytes}")
+        self.op = op
+        self.src = src
+        self.dst = dst
+        self.payload_bytes = payload_bytes
+        self.address = address
+        self.payload = payload
+        self.group_id = group_id
+        self.meta = {} if meta is None else meta
+        self.msg_id = _msg_ids() if msg_id is None else msg_id
 
     @property
     def traffic_class(self) -> TrafficClass:

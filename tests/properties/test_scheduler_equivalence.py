@@ -1,4 +1,4 @@
-"""Property tests: the calendar queue is order-identical to the heap.
+"""Property tests: every way of running the engine fires the same events.
 
 DESIGN.md §11's central claim for the ``calendar_queue`` fast-path layer
 is that it is *provably* output-invariant: both queue disciplines fire
@@ -6,7 +6,8 @@ events in exactly the same ``(time, seq)`` order, so a simulation cannot
 tell which one it ran on.  These tests drive both disciplines through
 randomized schedule/cancel/drain scripts generated by hypothesis and
 require the observable firing sequence to match exactly — including
-through adaptive calendar resizes and auto-compaction.
+through adaptive calendar resizes and auto-compaction.  The same holds
+for the fused ``run()`` loop against ``run(max_events=k)`` and ``step()``.
 """
 
 from __future__ import annotations
@@ -170,3 +171,84 @@ def test_schedule_at_never_perturbs_timestamps(base, offset):
         sim.schedule_at(target, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [target]
+
+
+# Fused run loop vs the general loop -----------------------------------
+#
+# ``Simulator.run()`` with no options pops straight off the heap in a
+# fused loop; ``run(max_events=k)`` and ``step()`` take the general
+# loop.  A script seeds a few events; each fired event then performs
+# actions drawn from the script: schedule children (at the same instant
+# or later, relative or absolute), cancel an earlier event (possibly one
+# that already fired), or cancel itself.
+
+_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("child"),
+                  st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 250.0])),
+        st.tuples(st.just("child_at"), st.sampled_from([0.0, 2.0, 7.5])),
+        st.tuples(st.just("cancel"), st.integers(0, 50)),
+        st.tuples(st.just("self_cancel"), st.just(0)),
+    ),
+    min_size=1, max_size=4)
+
+_SCRIPTS = st.tuples(
+    st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0, 40.0]),
+             min_size=1, max_size=12),
+    st.lists(_ACTIONS, min_size=1, max_size=12),
+    st.integers(0, 3),
+)
+
+#: Events one script may create, so that cascades stay finite.
+_EVENT_BUDGET = 120
+
+
+def _cascade(script, scheduler: str, drive: str, chunk: int = 1):
+    """Fire ``script`` run one of three ways; returns the firing log
+    of ``(time, seq)`` pairs, the final clock, the fired count and the
+    cancelled-pending count left on the drained queue."""
+    seeds, plans, depth_cap = script
+    sim = Simulator(scheduler=scheduler)
+    log = []
+    events = []
+
+    def fire(index, depth):
+        ev = events[index]
+        log.append((sim.now, ev.seq))
+        for kind, value in plans[index % len(plans)]:
+            if kind in ("child", "child_at"):
+                if depth >= depth_cap or len(events) >= _EVENT_BUDGET:
+                    continue
+                child = len(events)
+                if kind == "child":
+                    events.append(sim.schedule(value, fire, child,
+                                               depth + 1))
+                else:
+                    events.append(sim.schedule_at(sim.now + value, fire,
+                                                  child, depth + 1))
+            elif kind == "cancel":
+                events[value % len(events)].cancel()
+            else:
+                ev.cancel()
+
+    for delay in seeds:
+        events.append(sim.schedule(delay, fire, len(events), 0))
+    if drive == "run":
+        sim.run()
+    elif drive == "chunks":
+        while sim.pending():
+            sim.run(max_events=chunk)
+    else:
+        while sim.step():
+            pass
+    return log, sim.now, sim.events_processed, sim.cancelled_pending()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCRIPTS, st.integers(1, 5))
+def test_fused_loop_fires_like_the_general_loop(script, chunk):
+    fused = _cascade(script, "heap", "run")
+    assert fused[3] == 0      # a drained queue holds no cancelled events
+    assert _cascade(script, "heap", "chunks", chunk) == fused
+    assert _cascade(script, "heap", "step") == fused
+    assert _cascade(script, "calendar", "run") == fused

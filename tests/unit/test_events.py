@@ -124,3 +124,69 @@ def test_run_is_not_reentrant():
     sim.schedule(1.0, recurse)
     with pytest.raises(SimulationError):
         sim.run()
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+def test_cancelling_a_fired_event_counts_nothing(scheduler):
+    sim = Simulator(scheduler=scheduler)
+    ev = sim.schedule(1.0, lambda: None)
+    sim.run()
+    ev.cancel()
+    assert ev.cancelled
+    assert sim.cancelled_pending() == 0
+    assert sim.cancelled_fraction() == 0.0
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+@pytest.mark.parametrize("drive", ["run", "run_max", "step"])
+def test_self_cancel_inside_callback_counts_nothing(scheduler, drive):
+    """Two events cancel themselves while a third is still queued: the
+    queue holds no cancelled event, so the fraction must read 0 (it read
+    2.0 when fired events were counted)."""
+    sim = Simulator(scheduler=scheduler)
+    own = {}
+    fractions = []
+
+    def self_cancel(name):
+        own[name].cancel()
+        fractions.append(sim.cancelled_fraction())
+
+    own["a"] = sim.schedule(1.0, self_cancel, "a")
+    own["b"] = sim.schedule(2.0, self_cancel, "b")
+    sim.schedule(3.0, lambda: None)
+    if drive == "run":
+        sim.run(until=2.5)
+    elif drive == "run_max":
+        sim.run(max_events=2)
+    else:
+        sim.step()
+        sim.step()
+    assert sim.pending() == 1
+    assert sim.cancelled_pending() == 0
+    assert fractions == [0.0, 0.0]
+
+
+def test_cancelled_pending_counts_queued_cancels_until_skipped():
+    sim = Simulator(scheduler="heap")
+    dead = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    dead.cancel()
+    assert sim.cancelled_pending() == 1
+    assert sim.cancelled_fraction() == 0.5
+    sim.run()
+    assert sim.cancelled_pending() == 0
+
+
+def test_schedule_at_with_reserved_seq_orders_by_reservation():
+    """An event queued under a reserved sequence number fires where one
+    scheduled at the reservation would have, among same-instant events."""
+    sim = Simulator(scheduler="heap")
+    fired = []
+    sim.schedule_at(5.0, fired.append, "first")
+    reserved = sim.seq_allocated
+    sim.advance_seq(1)
+    sim.schedule_at(5.0, fired.append, "third")
+    sim.schedule_at(5.0, fired.append, "second", seq=reserved)
+    sim.run()
+    assert fired == ["first", "second", "third"]
+    assert sim.seq_allocated == 3

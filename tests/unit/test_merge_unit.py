@@ -229,6 +229,91 @@ class TestReductionMerging:
         assert not f.credits[2]        # the home GPU contributed locally
 
 
+class TestTimeoutTimer:
+    """A session keeps one queued timeout timer; touches only reserve the
+    sequence number a re-armed timer would take."""
+
+    def test_timer_fires_where_a_rearm_at_the_last_touch_would(self):
+        f = Fabric(timeout_ns=5_000.0)
+        unit, sim = f.unit, f.sim
+        addr = Address(1, 0)
+        log = []
+        touches = []
+        timer_schedules = []
+        touch, evict = unit._touch, unit._evict
+        schedule, schedule_at = sim.schedule, sim.schedule_at
+
+        def counting_schedule(delay, callback, *args):
+            if callback == unit._on_timeout:
+                timer_schedules.append(sim.now)
+            return schedule(delay, callback, *args)
+
+        def counting_schedule_at(time, callback, *args, **kwargs):
+            if callback == unit._on_timeout:
+                timer_schedules.append(sim.now)
+            return schedule_at(time, callback, *args, **kwargs)
+
+        def logged_touch(switch, entry):
+            touches.append(sim.now)
+            if entry.count == 2:
+                # Same-instant markers either side of the re-arm point.
+                due = sim.now + unit.timeout_ns
+                sim.schedule_at(due, log.append, "before")
+                touch(switch, entry)
+                sim.schedule_at(due, log.append, "after")
+            else:
+                touch(switch, entry)
+
+        def logged_evict(switch, entry, reason):
+            log.append(("evict", reason, sim.now))
+            evict(switch, entry, reason)
+
+        sim.schedule = counting_schedule
+        sim.schedule_at = counting_schedule_at
+        unit._touch = logged_touch
+        unit._evict = logged_evict
+        f.reduce(0, addr, 1.0, expected=3)
+        f.reduce(2, addr, 1.0, expected=3, delay=4_000.0)   # third never
+        sim.run()
+        first, second = touches
+        assert log == ["before", ("evict", "timeout", second + 5_000.0),
+                       "after"]
+        # Armed by the first contribution and re-queued by its early
+        # fire; the second contribution scheduled no timer.
+        assert timer_schedules == [first, first + 5_000.0]
+        assert sim.cancelled_pending() == 0
+
+    def test_release_drops_the_timer(self):
+        f = Fabric(timeout_ns=50_000.0)
+        addr = Address(2, 0)
+        entries = []
+        allocate = f.unit._allocate
+
+        def remember(*args, **kwargs):
+            entry = allocate(*args, **kwargs)
+            entries.append(entry)
+            return entry
+
+        f.unit._allocate = remember
+        for g in (0, 1, 3):
+            f.reduce(g, addr, 1.0)
+        f.sim.run()
+        assert f.stats.sessions_completed == 1
+        assert [e.timeout_event for e in entries] == [None]
+        assert f.sim.cancelled_pending() == 0
+
+    def test_load_wait_timeout_rearms_on_the_fill(self):
+        """A timer that fires during Load-Wait queues nothing; the fill's
+        touch arms a fresh timer, which the release then cancels."""
+        f = Fabric(timeout_ns=10.0)
+        addr = Address(3, 0)
+        f.load(0, addr, expected=3)
+        f.sim.run()
+        assert len(f.load_responses[0]) == 1
+        assert f.unit.open_sessions() == 0
+        assert f.sim.cancelled_pending() == 0
+
+
 class TestOccupancy:
     def test_peak_occupancy_tracks_concurrent_sessions(self):
         f = Fabric(capacity=None)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import config, units
 from repro.common.errors import ConfigError
-from repro.common.rng import RngPool
+from repro.common.rng import BUFFER_DOUBLES, RngPool
 
 
 class TestUnits:
@@ -115,3 +115,29 @@ class TestRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngPool(-1)
+
+    def test_buffered_jitter_equals_scalar_uniform_draws(self):
+        """Buffered draws are the stream's scalar ``uniform`` sequence,
+        bit for bit: across a buffer refill, and with batches (the
+        analytic kernel replay's) taken from the middle of a buffer —
+        one inside it, one running past its end."""
+        mag = 0.05
+        pool = RngPool(11)
+        buf = pool.buffered("tb-jitter-0")
+        got = [pool.jitter("tb-jitter-0", mag)
+               for _ in range(BUFFER_DOUBLES + 3)]
+        got += [1.0 + u for u in buf.uniforms(-mag, mag, 5)]
+        got += [1.0 + u for u in
+                buf.uniforms(-mag, mag, 2 * BUFFER_DOUBLES - 7)]
+        got += [pool.jitter("tb-jitter-0", mag)
+                for _ in range(BUFFER_DOUBLES + 1)]
+        scalar = RngPool(11).stream("tb-jitter-0")
+        want = [1.0 + float(scalar.uniform(-mag, mag))
+                for _ in range(len(got))]
+        assert got == want
+
+    def test_zero_jitter_draws_nothing(self):
+        pool = RngPool(5)
+        assert pool.jitter("j", 0.0) == 1.0
+        assert pool.jitter("j", 0.1) == \
+            1.0 + float(RngPool(5).stream("j").uniform(-0.1, 0.1))

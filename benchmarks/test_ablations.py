@@ -60,19 +60,20 @@ def test_asymmetric_overlap_policy(once):
 
 def test_merge_aware_ordering(once):
     """Home-rotated TB ordering vs row-major (coordination ablation)."""
-    from repro.cais.dataflow import CaisRunner
-    from repro.experiments.fig13_merge_table import _run_cais as run_feats
+    from repro.experiments.parallel import AblationSpec, SimTask, \
+        _run_ablation
+
+    def wait_ns(features):
+        model = LLAMA_7B.scaled(QUICK.tokens_fraction)
+        task = SimTask(system="CAIS",
+                       graphs=(sublayer_graph(model, 8, "L1"),),
+                       config=dgx_h100_config(), scale=QUICK,
+                       ablation=AblationSpec.of(features))
+        return _run_ablation(task).merge_stats.average_wait_ns()
 
     def pair():
-        model = LLAMA_7B.scaled(QUICK.tokens_fraction)
-        graph = sublayer_graph(model, 8, "L1")
-        with_order = run_feats(graph, QUICK, frozenset(
-            {"prelaunch", "preaccess", "throttle", "order"}))
-        graph = sublayer_graph(model, 8, "L1")
-        without = run_feats(graph, QUICK, frozenset(
-            {"prelaunch", "preaccess", "throttle"}))
-        return (with_order.merge_stats.average_wait_ns(),
-                without.merge_stats.average_wait_ns())
+        return (wait_ns({"prelaunch", "preaccess", "throttle", "order"}),
+                wait_ns({"prelaunch", "preaccess", "throttle"}))
 
     ordered, row_major = once(pair)
     print(f"\n  wait with ordering: {ordered / 1e3:.2f} us, "
@@ -90,7 +91,7 @@ def test_eviction_policy_lru_vs_fifo(once):
     from repro.cais.dataflow import CaisRunner
     from repro.cais import compiler as cais_compiler
     from repro.llm import tiling as llm_tiling
-    from repro.systems import Harness
+    from repro.systems import Harness, Session
 
     def pair():
         out = {}
@@ -104,12 +105,8 @@ def test_eviction_policy_lru_vs_fifo(once):
                               traffic_control=True, fair_share=True,
                               merge_eviction_policy=policy)
             runner = CaisRunner(harness, tiling=QUICK.tiling)
-            done = {"ok": False}
-            runner.run_graphs([graph],
-                              on_done=lambda: done.update(ok=True))
-            harness.executor.run()
-            assert done["ok"]
-            out[policy] = harness.sim.now
+            out[policy] = Session("CAIS", harness, runner).run(
+                [graph]).makespan_ns
         return out
 
     results = once(pair)

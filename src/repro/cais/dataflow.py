@@ -32,9 +32,7 @@ from ..common.errors import WorkloadError
 from ..gpu.executor import Executor
 from ..gpu.kernels import KernelInstance
 from ..gpu.remote_ops import Transport
-from ..llm.graph import CommKind, Graph, LogicalOp, OpKind
-from ..obs import current_causality
-from ..obs.causality import BARRIER_SYNC
+from ..llm.graph import CommKind, Graph, GraphRunner, LogicalOp, OpKind
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from ..llm.tiling import ActivationLayout, TilingConfig
@@ -161,7 +159,7 @@ def find_chains(graph: Graph) -> List[FusedChain]:
     return chains
 
 
-class CaisRunner:
+class CaisRunner(GraphRunner):
     """Lower and execute a logical graph with compute-aware in-switch
     computing.
 
@@ -181,9 +179,8 @@ class CaisRunner:
                  coordination_features: Optional[frozenset] = None,
                  transport: Transport = Transport.CAIS,
                  launch_overhead_ns: Optional[float] = None):
-        self.harness = harness
+        super().__init__(harness, tiling, launch_overhead_ns)
         self.executor: Executor = harness.executor
-        self.tiling = tiling or _tiling_module().TilingConfig()
         self.dataflow = dataflow
         self.coordination = coordination
         if coordination_features is not None:
@@ -193,93 +190,29 @@ class CaisRunner:
                              else frozenset())
         self.executor.tb_throttle = "throttle" in self.features
         self.transport = transport
-        self.launch_overhead_ns = (
-            harness.config.gpu.kernel_launch_overhead_ns
-            if launch_overhead_ns is None else launch_overhead_ns)
-        self._cz = current_causality()
 
     # ------------------------------------------------------------------
     # Graph execution
     # ------------------------------------------------------------------
-    def run_graph(self, graph: Graph,
-                  on_done: Optional[Callable[[], None]] = None) -> None:
-        chains = find_chains(graph)
-        chain_of: Dict[str, FusedChain] = {}
-        head_of: Dict[int, str] = {}
-        for chain in chains:
-            head = chain.members()[0]
-            head_of[id(chain)] = head
-            for member in chain.members():
-                chain_of[member] = chain
+    def _plan(self, graph: Graph) -> Dict[str, FusedChain]:
+        """Each chain member's chain; a chain starts from its first member."""
+        return {member: chain for chain in find_chains(graph)
+                for member in chain.members()}
 
-        done: Dict[str, bool] = {op.name: False for op in graph.ops()}
-        waiting = {op.name: len(op.deps) for op in graph.ops()}
-        pending = {"count": len(done)}
-
-        cz = self._cz
-
-        def finish(name: str) -> None:
-            if done[name]:
-                raise WorkloadError(f"op {name} finished twice")
-            if cz.enabled:
-                # Op boundary marker (see BarrierRunner.run_graph).
-                now = self.harness.sim.now
-                cz.current = cz.node(BARRIER_SYNC, now, now,
-                                     f"op {name} done",
-                                     parents=((cz.current, "dep"),))
-            done[name] = True
-            pending["count"] -= 1
-            if pending["count"] == 0 and on_done is not None:
-                on_done()
-                return
-            for consumer in graph.consumers_of(name):
-                waiting[consumer.name] -= 1
-                if waiting[consumer.name] == 0:
-                    start(consumer)
-
-        def start(op: LogicalOp) -> None:
-            chain = chain_of.get(op.name)
-            if chain is None:
-                self._start_plain(graph, op, finish)
-                return
-            if op.name != head_of[id(chain)]:
-                return          # launched (or to be launched) by its head
+    def _start(self, graph: Graph, plan: Dict[str, FusedChain],
+               op: LogicalOp, finish: Callable[[str], None],
+               solo: bool) -> None:
+        chain = plan.get(op.name)
+        if chain is None:
+            if op.kind is OpKind.COMM:
+                raise WorkloadError(
+                    f"CAIS lowering left collective {op.name} unfused "
+                    f"(graph {graph.name}); use SP-style graphs")
+            self.executor.launch_kernel(
+                self.compute_kernel(op), on_complete=lambda: finish(op.name))
+        elif op.name == chain.members()[0]:
             self._start_chain(graph, chain, finish)
-
-        for op in graph.topo_order():
-            if waiting[op.name] == 0:
-                start(op)
-
-    def run_graphs(self, graphs: List[Graph],
-                   on_done: Optional[Callable[[], None]] = None) -> None:
-        """Run graphs strictly in sequence (forward then backward)."""
-        if not graphs:
-            raise WorkloadError("no graphs to run")
-
-        def chain_next(index: int) -> None:
-            if index == len(graphs):
-                if on_done is not None:
-                    on_done()
-                return
-            self.run_graph(graphs[index],
-                           on_done=lambda: chain_next(index + 1))
-
-        chain_next(0)
-
-    # ------------------------------------------------------------------
-    # Plain (non-chain) ops
-    # ------------------------------------------------------------------
-    def _start_plain(self, graph: Graph, op: LogicalOp,
-                     finish: Callable[[str], None]) -> None:
-        if op.kind is OpKind.COMM:
-            raise WorkloadError(
-                f"CAIS lowering left collective {op.name} unfused "
-                f"(graph {graph.name}); use SP-style graphs")
-        kernel = _tiling_module().compute_kernel(
-            op, self.harness.config.gpu, self.tiling,
-                                launch_overhead_ns=self.launch_overhead_ns)
-        self.executor.launch_kernel(
-            kernel, on_complete=lambda: finish(op.name))
+        # Other members are launched (or to be launched) by their head.
 
     # ------------------------------------------------------------------
     # Fused chains
@@ -413,9 +346,7 @@ class CaisRunner:
 
                 def launch_barrier_consumers() -> None:
                     for name in barrier_consumers:
-                        kernel = _t.compute_kernel(
-                            graph[name], spec, tiling,
-                            launch_overhead_ns=self.launch_overhead_ns)
+                        kernel = self.compute_kernel(graph[name])
                         executor.launch_kernel(
                             kernel, on_complete=lambda n=name: finish(n))
 
@@ -507,8 +438,7 @@ class CaisRunner:
             if g2.gemm.m != layout.rows:
                 # Consumes the replicated tensor along K (a wgrad): every
                 # TB needs every row present on its own GPU.
-                k2 = _t.compute_kernel(g2, spec, tiling,
-                                    launch_overhead_ns=self.launch_overhead_ns)
+                k2 = self.compute_kernel(g2)
                 k2.tb_deps = (
                     lambda gpu, bidx, tid=layout.tensor_id,
                     blocks=layout.num_blocks:

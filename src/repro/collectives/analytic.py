@@ -1,7 +1,7 @@
 """Analytic fast-path for uncongested collective phases (DESIGN.md §11).
 
-Barrier-style systems (TP-NVLS, SP-NVLS, and the overlap baselines when
-they run without chunk callbacks) execute the *same* collective —
+Barrier-style systems (TP-NVLS, SP-NVLS, and the overlap baselines'
+non-pipelined collectives) execute the *same* collective —
 transport, kind, byte count, chunking, fabric — hundreds of times per
 experiment, each time against a quiescent network.  Event-level simulation
 of such a phase is pure recomputation: its completion time and its entire
@@ -13,7 +13,7 @@ replay protocol:
 
 1. **Calibrate** — the first occurrence of a signature runs on the event
    path; its duration and side-effect deltas are captured.
-2. **Validate** — the next ``validate_occurrences - 1`` occurrences (the
+2. **Validate** — the next ``VALIDATE_OCCURRENCES - 1`` occurrences (the
    deterministic sample) also run on the event path; each must reproduce
    the calibrated duration to *exact float equality* (``t0 + duration ==
    observed completion``) and identical id/traffic deltas, or the
@@ -137,13 +137,19 @@ class CollectiveFastPath:
     mutates per-GPU cache state and is excluded) and only for calls that
     are *provably* isolated and unobserved: no chunk callback, no fault
     machinery, no functional payloads, no tracing/metrics/causality, a
-    quiescent fabric, and — the decisive guard — an **empty event queue**.
-    With nothing queued, no kernel completion, serving arrival, or timer
-    can possibly fire during the phase, so nothing can start concurrent
-    traffic mid-window: the phase is isolated not just at its start but
-    for its whole duration, which is what makes replaying a calibrated
-    duration exact rather than approximate.  Everything else passes
-    straight through to the event path.
+    quiescent fabric, and isolation in time, which takes two guards
+    together.  An **empty event queue** means no kernel completion,
+    serving arrival or timer already scheduled can fire during the phase.
+    The caller's ``isolated=True`` (the contract of
+    ``Executor.launch_kernel``) means nothing else starts in the current
+    event frame after this call.  An empty queue alone is not enough: a
+    caller that launches a kernel right after the call (a software
+    pipeline's next GEMM partition) puts work in flight that the queue
+    did not hold when the call was made.  With both, nothing can start
+    concurrent traffic mid-window: the phase is isolated not just at its
+    start but for its whole duration, which is what makes replaying a
+    calibrated duration exact rather than approximate.  Everything else
+    passes straight through to the event path.
     """
 
     def __init__(self, harness, comm):
@@ -152,7 +158,6 @@ class CollectiveFastPath:
         self.transport: Optional[str] = getattr(
             comm, "fastpath_transport", None)
         cfg = fastpath.config()
-        self.validate_occurrences = max(1, cfg.validate_occurrences)
         self.enabled = (
             cfg.analytic_collectives
             and self.transport is not None
@@ -181,9 +186,9 @@ class CollectiveFastPath:
             harness.fastpath_comms.append(self)
 
     # -- CommImpl ------------------------------------------------------
-    def run(self, kind, nbytes, on_complete, on_chunk=None):
+    def run(self, kind, nbytes, on_complete, on_chunk=None, isolated=False):
         self._runs_started += 1
-        if not self._eligible(on_chunk):
+        if not (isolated and self._eligible(on_chunk)):
             self.comm.run(kind, nbytes, on_complete, on_chunk)
             return
         sig_key = self._key_base + (kind, nbytes)
@@ -258,8 +263,7 @@ class CollectiveFastPath:
             if sig.analytic_rel_err > 0.25:
                 self.analytic_disagreements += 1
         self.calibrations += 1
-        sig.state = (_BYPASS if self.validate_occurrences <= 1
-                     else _VALIDATING)
+        sig.state = _VALIDATING
 
     def _finish_validation(self, sig, t0, msg0, ring0, nvls0) -> None:
         sim = self.harness.sim
@@ -273,7 +277,7 @@ class CollectiveFastPath:
             return
         self.validations += 1
         sig.validated += 1
-        if sig.validated >= self.validate_occurrences - 1:
+        if sig.validated >= fastpath.VALIDATE_OCCURRENCES - 1:
             sig.state = _BYPASS
 
     # -- Replay --------------------------------------------------------

@@ -34,6 +34,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
+#: Occurrences of a collective signature simulated on the event path
+#: before the analytic bypass may engage: the first calibrates, the
+#: remaining ``VALIDATE_OCCURRENCES - 1`` must reproduce the calibrated
+#: makespan to exact float equality or the signature is blacklisted.
+VALIDATE_OCCURRENCES = 2
+
 
 @dataclass(frozen=True)
 class FastPathConfig:
@@ -48,11 +54,6 @@ class FastPathConfig:
     #: Evaluate isolated pure-compute kernel launches arithmetically
     #: (bit-exact replication of the event path, including RNG draws).
     analytic_kernels: bool = True
-    #: Occurrences of a collective signature simulated on the event path
-    #: before the bypass may engage: the first calibrates, the remaining
-    #: ``validate_occurrences - 1`` must reproduce the calibrated makespan
-    #: to exact float equality or the signature is blacklisted.
-    validate_occurrences: int = 2
 
     @property
     def any_enabled(self) -> bool:
@@ -70,7 +71,7 @@ class FastPathConfig:
         return (f"fp:w{int(self.link_windows)}"
                 f"-a{int(self.analytic_collectives)}"
                 f"-k{int(self.analytic_kernels)}"
-                f"-v{self.validate_occurrences}")
+                f"-v{VALIDATE_OCCURRENCES}")
 
 
 DISABLED = FastPathConfig(calendar_queue=False, link_windows=False,
@@ -103,11 +104,6 @@ def set_config(cfg: FastPathConfig) -> FastPathConfig:
 def disable_all() -> FastPathConfig:
     """Force the reference event path everywhere (``--no-fastpath``)."""
     return set_config(DISABLED)
-
-
-def configure(**overrides) -> FastPathConfig:
-    """Replace selected fields of the global config; returns the previous."""
-    return set_config(replace(_config, **overrides))
 
 
 @contextmanager

@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common import fastpath
 from ..common.config import FaultSpec, SystemConfig
-from ..common.errors import WorkloadError
 from ..llm.fleet import ReplicaSpec
 from ..llm.graph import Graph
 from ..llm.serving import ServingSpec
@@ -254,17 +253,19 @@ class RunSummary:
 
 def _utilization_series(network, makespan_ns: float, windows: int,
                         ) -> Tuple[Tuple[float, float], ...]:
-    """Windowed mean link utilization — exactly Fig. 16's loop."""
+    """Windowed mean link utilization: exactly ``windows`` entries of
+    (window center in us, mean utilization over every link direction)."""
     links = network.all_links()
     window = makespan_ns / windows
     series: List[Tuple[float, float]] = []
-    t = 0.0
-    while t < makespan_ns - 1e-9:
-        hi = min(t + window, makespan_ns)
-        util = sum(link.tracker.utilization(t, hi)
+    # Iterate window *indices*: accumulating t += window drifts in float
+    # and can emit an extra sliver window at the end.
+    for i in range(windows):
+        lo = i * window
+        hi = makespan_ns if i == windows - 1 else (i + 1) * window
+        util = sum(link.tracker.utilization(lo, hi)
                    for link in links) / len(links)
-        series.append(((t + hi) / 2 / 1e3, util))
-        t += window
+        series.append(((lo + hi) / 2 / 1e3, util))
     return tuple(series)
 
 
@@ -468,11 +469,11 @@ def _run_replica(task: SimTask):
 
 def _run_ablation(task: SimTask):
     """One CAIS run with explicit coordination features and table limits
-    (the Fig. 13 harness, formerly ``fig13_merge_table._run_cais``)."""
+    (the Fig. 13 harness)."""
     from ..cais import compiler as cais_compiler
     from ..cais.dataflow import CaisRunner
     from ..llm import tiling as llm_tiling
-    from ..systems import Harness
+    from ..systems import Harness, Session
 
     spec = task.ablation
     llm_tiling.reset_tensor_ids()
@@ -485,18 +486,7 @@ def _run_ablation(task: SimTask):
     runner = CaisRunner(harness, tiling=task.scale.tiling,
                         dataflow=True, coordination=True,
                         coordination_features=frozenset(spec.features))
-    done = {"ok": False}
-
-    def _done() -> None:
-        done["ok"] = True
-        harness.workload_complete()
-
-    runner.run_graphs(list(task.graphs), on_done=_done)
-    harness.executor.run()
-    if not done["ok"]:
-        raise WorkloadError(
-            f"{task.system} ablation graphs did not run to completion")
-    return harness.result(task.system)
+    return Session(task.system, harness, runner).run(list(task.graphs))
 
 
 def run_matrix(tasks: Sequence[SimTask],

@@ -14,7 +14,6 @@ from .message import (
 from .network import Network
 from .routing import plane_for_address, plane_for_stripe
 from .switch import Switch, SwitchEngine
-from .topology import Topology, dgx_h100_topology
 
 __all__ = [
     "Address",
@@ -26,8 +25,6 @@ __all__ = [
     "NodeId",
     "Op",
     "Switch",
-    "Topology",
-    "dgx_h100_topology",
     "SwitchEngine",
     "TrafficClass",
     "gpu_node",

@@ -6,16 +6,19 @@ attention-softmax), and collective ops (AllReduce / ReduceScatter /
 AllGather) with their global tensor sizes.  Every system under test lowers
 the same graph differently — kernel-level barriers, chunked software
 pipelines, or CAIS's fused TB-level dataflow — which is exactly the paper's
-comparison axis.
+comparison axis.  :class:`GraphRunner` is the part they share: the
+dependency walk that starts each op once its inputs have finished.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import WorkloadError
+from ..obs import current_causality
+from ..obs.causality import BARRIER_SYNC
 
 
 class OpKind(enum.Enum):
@@ -148,3 +151,127 @@ class Graph:
 
     def sublayer_ops(self, tag: str) -> List[LogicalOp]:
         return [op for op in self._ops.values() if op.sublayer == tag]
+
+
+class GraphRunner:
+    """The dependency walk every system runner shares.
+
+    An op starts once all of its graph dependencies have finished, and
+    the graph is done when its last op finishes.  Systems differ only in
+    how they lower an op, so a subclass supplies two hooks:
+
+    * :meth:`_plan` — per-graph lowering state (which collectives a
+      producer GEMM absorbs, which ops form a fused chain), computed once
+      per :meth:`run_graph` and handed back to every start;
+    * :meth:`_start` — launch one ready op and arrange for ``finish`` to
+      be called with the name of every op it completes.
+
+    The walk owns everything else in one place: op order (roots fixed up
+    front; each completion collects the ops it readies before starting
+    any), the ``"op <name> done"`` causal boundary node, the rejection of
+    an op finishing twice, and the ``solo`` hint.  ``solo`` is true only
+    for a graph's only root, or for the sole op made ready by its
+    producer's completion while no enclosing start is still mid-loop.
+    Then nothing else starts in the current event frame after it: the
+    caller contract behind ``launch_kernel(isolated=...)`` and
+    ``CommImpl.run(isolated=...)``.
+    """
+
+    def __init__(self, harness, tiling=None,
+                 launch_overhead_ns: Optional[float] = None):
+        self.harness = harness
+        self.tiling = tiling or _tiling().TilingConfig()
+        self.launch_overhead_ns = (
+            harness.config.gpu.kernel_launch_overhead_ns
+            if launch_overhead_ns is None else launch_overhead_ns)
+        self._cz = current_causality()
+
+    # -- lowering hooks --------------------------------------------------
+    def _plan(self, graph: Graph):
+        """Per-graph lowering plan passed to every :meth:`_start` call."""
+        return None
+
+    def _start(self, graph: Graph, plan, op: LogicalOp,
+               finish: Callable[[str], None], solo: bool) -> None:
+        raise NotImplementedError
+
+    def compute_kernel(self, op: LogicalOp):
+        """``op``'s plain TB-granular kernel under this runner's tiling."""
+        return _tiling().compute_kernel(
+            op, self.harness.config.gpu, self.tiling,
+            launch_overhead_ns=self.launch_overhead_ns)
+
+    # -- the walk --------------------------------------------------------
+    def run_graph(self, graph: Graph,
+                  on_done: Optional[Callable[[], None]] = None) -> None:
+        """Wire the whole graph; completion fires ``on_done``."""
+        plan = self._plan(graph)
+        order = graph.topo_order()
+        waiting = {op.name: len(op.deps) for op in order}
+        done = set()
+        # start() frames on the stack: an op completing synchronously
+        # re-enters finish() below an unfinished start loop, in which case
+        # a nested start is NOT the frame's only activity.
+        depth = 0
+        cz = self._cz
+        sim = self.harness.sim
+
+        def finish(name: str) -> None:
+            if name in done:
+                raise WorkloadError(f"op {name} finished twice")
+            if cz.enabled:
+                # Op boundary: consumers started below are caused by this
+                # completion (the kernel's last TB or the collective's
+                # last chunk, carried in as the ambient cause).
+                now = sim.now
+                cz.current = cz.node(BARRIER_SYNC, now, now,
+                                     f"op {name} done",
+                                     parents=((cz.current, "dep"),))
+            done.add(name)
+            if len(done) == len(order):
+                if on_done is not None:
+                    on_done()
+                return
+            ready = []
+            for consumer in graph.consumers_of(name):
+                waiting[consumer.name] -= 1
+                if waiting[consumer.name] == 0:
+                    ready.append(consumer)
+            # Parallel branches (e.g. dgrad + wgrad) run concurrently, so
+            # neither may claim to be the frame's only activity.
+            solo = len(ready) == 1 and depth == 0
+            for consumer in ready:
+                start(consumer, solo)
+
+        def start(op: LogicalOp, solo: bool) -> None:
+            nonlocal depth
+            depth += 1
+            try:
+                self._start(graph, plan, op, finish, solo)
+            finally:
+                depth -= 1
+
+        roots = [op for op in order if waiting[op.name] == 0]
+        for op in roots:
+            start(op, len(roots) == 1)
+
+    def run_graphs(self, graphs: List[Graph],
+                   on_done: Optional[Callable[[], None]] = None) -> None:
+        """Run graphs strictly in sequence (e.g. forward then backward)."""
+        if not graphs:
+            raise WorkloadError("no graphs to run")
+
+        def chain(index: int) -> None:
+            if index == len(graphs):
+                if on_done is not None:
+                    on_done()
+                return
+            self.run_graph(graphs[index], on_done=lambda: chain(index + 1))
+
+        chain(0)
+
+
+def _tiling():
+    """Deferred import: :mod:`.tiling` imports this module."""
+    from . import tiling
+    return tiling

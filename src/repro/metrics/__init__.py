@@ -1,11 +1,9 @@
 """Measurement: bandwidth utilization, merge statistics, run reports."""
 
 from .bandwidth import BandwidthTracker
-from .export import dump_run_result, load_run_summary, run_result_to_dict
 from .merge_stats import MergeStats
 from .report import format_run_report
 from .timeline import Span, Timeline
 
 __all__ = ["BandwidthTracker", "MergeStats", "Span", "Timeline",
-           "dump_run_result", "format_run_report", "load_run_summary",
-           "run_result_to_dict"]
+           "format_run_report"]

@@ -4,10 +4,11 @@ A :class:`Harness` assembles one simulated node — event engine, fabric,
 switch engines, GPUs/executor — according to a system's feature set (NVLS
 engines? CAIS merge unit? group-sync tables? traffic control? throttling?).
 
-A :class:`BarrierRunner` executes a logical graph the way the
-kernel-barrier baselines do: an op starts when all its graph dependencies
-completed; compute ops run TB-granular on the executor, collective ops run
-through a pluggable :class:`CommImpl` (ring or NVLS).
+A :class:`BarrierRunner` lowers a logical graph the way the kernel-barrier
+baselines do: on the shared dependency walk
+(:class:`~repro.llm.graph.GraphRunner`), compute ops run TB-granular on the
+executor and collective ops run through a pluggable :class:`CommImpl` (ring
+or NVLS).
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from ..common.events import Simulator
 from ..faults import FaultInjector, FaultSchedule, FaultState
 from ..gpu.executor import Executor
 from ..interconnect.network import Network
-from ..llm.graph import CommKind, Graph, LogicalOp, OpKind
-from ..llm.tiling import TilingConfig, compute_kernel
+from ..llm.graph import CommKind, Graph, GraphRunner, LogicalOp, OpKind
+from ..llm.tiling import TilingConfig
 from ..metrics.merge_stats import MergeStats
 from ..metrics.timeline import Timeline
 from ..nvls.engine import NvlsEngine
 from ..obs import (current_causality, current_metrics, current_request_log,
                    current_timeseries, current_tracer)
-from ..obs.causality import BARRIER_SYNC
 from ..obs.critical_path import CriticalPath, annotate_tracer, \
     extract_critical_path
 from ..obs.timeseries import annotate_windows
@@ -57,7 +57,7 @@ class RunResult:
     #: Per-kernel spans (launch -> completion) for Gantt-style breakdowns.
     timeline: Optional[Timeline] = None
     #: The observability registry active during the run (None when metrics
-    #: were disabled); folded into JSON exports by ``metrics/export.py``.
+    #: were disabled); ``RunSummary.from_result`` harvests its histograms.
     metrics: Optional[object] = None
     details: Dict[str, float] = field(default_factory=dict)
     #: Makespan attribution (repro.obs.critical_path), populated only when
@@ -310,12 +310,19 @@ class Harness:
 
 
 class CommImpl(Protocol):
-    """Collective transport used by barrier/overlap runners."""
+    """Collective transport used by barrier/overlap runners.
+
+    ``isolated=True`` is the caller contract of
+    ``Executor.launch_kernel(isolated=...)``: nothing else starts in the
+    current event frame after this call.  Transports ignore it; the
+    analytic fast path (:mod:`repro.collectives.analytic`) engages only
+    when it is set.
+    """
 
     def run(self, kind: CommKind, nbytes: int,
             on_complete: Callable[[], None],
-            on_chunk: Optional[Callable[[int, int, int], None]] = None
-            ) -> None:
+            on_chunk: Optional[Callable[[int, int, int], None]] = None,
+            isolated: bool = False) -> None:
         ...  # pragma: no cover - protocol
 
 
@@ -331,7 +338,7 @@ class RingComm:
                                      chunk_bytes=chunk_bytes,
                                      fault_state=harness.fault_state)
 
-    def run(self, kind, nbytes, on_complete, on_chunk=None):
+    def run(self, kind, nbytes, on_complete, on_chunk=None, isolated=False):
         if kind is CommKind.ALL_REDUCE:
             self.driver.all_reduce(nbytes, on_complete, on_chunk)
         elif kind is CommKind.REDUCE_SCATTER:
@@ -368,7 +375,7 @@ class NvlsComm:
         if self._fault_state is not None:
             self._fault_state.on_nvls_fault(self._abort_active)
 
-    def run(self, kind, nbytes, on_complete, on_chunk=None):
+    def run(self, kind, nbytes, on_complete, on_chunk=None, isolated=False):
         state = self._fault_state
         if state is None:
             self._dispatch(self.driver, kind, nbytes, on_complete, on_chunk)
@@ -420,7 +427,7 @@ class NvlsComm:
                            on_chunk)
 
 
-class BarrierRunner:
+class BarrierRunner(GraphRunner):
     """Kernel-barrier execution of a logical graph.
 
     Each op starts when its graph dependencies complete (parallel branches
@@ -431,88 +438,15 @@ class BarrierRunner:
     def __init__(self, harness: Harness, comm: CommImpl,
                  tiling: Optional[TilingConfig] = None,
                  launch_overhead_ns: Optional[float] = None):
-        self.harness = harness
+        super().__init__(harness, tiling, launch_overhead_ns)
         self.comm = maybe_fastpath(harness, comm)
-        self.tiling = tiling or TilingConfig()
-        self.launch_overhead_ns = (
-            harness.config.gpu.kernel_launch_overhead_ns
-            if launch_overhead_ns is None else launch_overhead_ns)
-        self._cz = current_causality()
 
-    def run_graph(self, graph: Graph,
-                  on_done: Optional[Callable[[], None]] = None) -> None:
-        """Wire the whole graph; completion fires ``on_done``."""
-        done: Dict[str, bool] = {op.name: False for op in graph.ops()}
-        waiting: Dict[str, int] = {}
-        pending = {"count": len(done)}
-        # Depth of start() frames on the stack: a collective completing
-        # synchronously re-enters finish() below an unfinished start loop,
-        # in which case a nested launch is NOT the frame's only activity.
-        starting = {"depth": 0}
-        cz = self._cz
-
-        def finish(name: str) -> None:
-            if cz.enabled:
-                # Op boundary: consumers launched below are caused by this
-                # completion (the kernel's last TB or the collective's
-                # last chunk, carried in as the ambient cause).
-                now = self.harness.sim.now
-                cz.current = cz.node(BARRIER_SYNC, now, now,
-                                     f"op {name} done",
-                                     parents=((cz.current, "dep"),))
-            done[name] = True
-            pending["count"] -= 1
-            if pending["count"] == 0 and on_done is not None:
-                on_done()
-                return
-            ready = []
-            for consumer in graph.consumers_of(name):
-                waiting[consumer.name] -= 1
-                if waiting[consumer.name] == 0:
-                    ready.append(consumer)
-            # A lone successor is the only thing this frame starts, which
-            # is what lets the executor's kernel fast-path engage; parallel
-            # branches (e.g. dgrad + wgrad) do run concurrently and must
-            # take the event path.
-            solo = len(ready) == 1 and starting["depth"] == 0
-            for consumer in ready:
-                start(consumer, solo)
-
-        def start(op: LogicalOp, solo: bool = False) -> None:
-            starting["depth"] += 1
-            try:
-                if op.kind is OpKind.COMM:
-                    self.comm.run(op.comm, op.comm_bytes,
-                                  lambda name=op.name: finish(name))
-                else:
-                    kernel = compute_kernel(
-                        op, self.harness.config.gpu, self.tiling,
-                        launch_overhead_ns=self.launch_overhead_ns)
-                    self.harness.executor.launch_kernel(
-                        kernel,
-                        on_complete=lambda name=op.name: finish(name),
-                        isolated=solo)
-            finally:
-                starting["depth"] -= 1
-
-        order = graph.topo_order()
-        for op in order:
-            waiting[op.name] = len(op.deps)
-        roots = [op for op in order if waiting[op.name] == 0]
-        for op in roots:
-            start(op, solo=len(roots) == 1)
-
-    def run_graphs(self, graphs: List[Graph],
-                   on_done: Optional[Callable[[], None]] = None) -> None:
-        """Run graphs strictly in sequence (e.g. forward then backward)."""
-        if not graphs:
-            raise WorkloadError("no graphs to run")
-
-        def chain(index: int) -> None:
-            if index == len(graphs):
-                if on_done is not None:
-                    on_done()
-                return
-            self.run_graph(graphs[index], on_done=lambda: chain(index + 1))
-
-        chain(0)
+    def _start(self, graph: Graph, plan, op: LogicalOp,
+               finish: Callable[[str], None], solo: bool) -> None:
+        if op.kind is OpKind.COMM:
+            self.comm.run(op.comm, op.comm_bytes, lambda: finish(op.name),
+                          isolated=solo)
+        else:
+            self.harness.executor.launch_kernel(
+                self.compute_kernel(op), on_complete=lambda: finish(op.name),
+                isolated=solo)

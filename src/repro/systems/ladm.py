@@ -51,7 +51,8 @@ class DirectComm:
         self.k = harness.config.num_gpus
 
     def run(self, kind: CommKind, nbytes: int,
-            on_complete: Callable[[], None], on_chunk=None) -> None:
+            on_complete: Callable[[], None], on_chunk=None,
+            isolated: bool = False) -> None:
         if nbytes <= 0 or nbytes % self.k:
             raise WorkloadError(f"bad collective size {nbytes}")
         run_id = next(_run_ids)

@@ -20,21 +20,19 @@ with (Section V-A-3).
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from ..collectives.analytic import maybe_fastpath
 from ..common.errors import WorkloadError
 from ..gpu.kernels import KernelInstance
 from ..llm.graph import CommKind, Graph, LogicalOp, OpKind
-from ..llm.tiling import TilingConfig, ceil_div, compute_kernel
-from .base import CommImpl, Harness
+from ..llm.tiling import TilingConfig, ceil_div
+from .base import BarrierRunner, CommImpl, Harness
 
 #: Row partitions used for GEMM->collective pipelining.
 DEFAULT_PARTITIONS = 4
 
 
-class OverlapRunner:
+class OverlapRunner(BarrierRunner):
     """Chunked GEMM -> collective pipelining with barrier fallback."""
 
     def __init__(self, harness: Harness, comm: CommImpl,
@@ -43,85 +41,10 @@ class OverlapRunner:
                  launch_overhead_ns: Optional[float] = None):
         if partitions < 1:
             raise WorkloadError(f"partitions must be >= 1: {partitions}")
-        self.harness = harness
-        self.comm = maybe_fastpath(harness, comm)
-        self.tiling = tiling or TilingConfig()
+        super().__init__(harness, comm, tiling, launch_overhead_ns)
         self.partitions = partitions
-        self.launch_overhead_ns = (
-            harness.config.gpu.kernel_launch_overhead_ns
-            if launch_overhead_ns is None else launch_overhead_ns)
 
-    # ------------------------------------------------------------------
-    def run_graph(self, graph: Graph,
-                  on_done: Optional[Callable[[], None]] = None) -> None:
-        absorbed = self._absorbed_comms(graph)
-        done: Dict[str, bool] = {op.name: False for op in graph.ops()}
-        waiting = {op.name: len(op.deps) for op in graph.ops()}
-        pending = {"count": len(done)}
-
-        # See BarrierRunner.run_graph: a lone successor started from an
-        # otherwise-idle frame may use the executor's kernel fast-path.
-        # Pipelined GEMM partitions never qualify — overlapping their
-        # collective slices is the whole point of this runner.
-        starting = {"depth": 0}
-
-        def finish(name: str) -> None:
-            done[name] = True
-            pending["count"] -= 1
-            if pending["count"] == 0 and on_done is not None:
-                on_done()
-                return
-            ready = []
-            for consumer in graph.consumers_of(name):
-                waiting[consumer.name] -= 1
-                if waiting[consumer.name] == 0:
-                    ready.append(consumer)
-            solo = len(ready) == 1 and starting["depth"] == 0
-            for consumer in ready:
-                start(consumer, solo)
-
-        def start(op: LogicalOp, solo: bool = False) -> None:
-            starting["depth"] += 1
-            try:
-                if op.name in absorbed.values():
-                    return           # driven by its producer GEMM
-                if op.name in absorbed:
-                    self._start_pipelined(graph, op, absorbed[op.name],
-                                          finish)
-                    return
-                if op.kind is OpKind.COMM:
-                    self.comm.run(op.comm, op.comm_bytes,
-                                  lambda name=op.name: finish(name))
-                    return
-                kernel = compute_kernel(
-                    op, self.harness.config.gpu, self.tiling,
-                    launch_overhead_ns=self.launch_overhead_ns)
-                self.harness.executor.launch_kernel(
-                    kernel, on_complete=lambda name=op.name: finish(name),
-                    isolated=solo)
-            finally:
-                starting["depth"] -= 1
-
-        roots = [op for op in graph.topo_order() if waiting[op.name] == 0]
-        for op in roots:
-            start(op, solo=len(roots) == 1)
-
-    def run_graphs(self, graphs: List[Graph],
-                   on_done: Optional[Callable[[], None]] = None) -> None:
-        if not graphs:
-            raise WorkloadError("no graphs to run")
-
-        def chain(index: int) -> None:
-            if index == len(graphs):
-                if on_done is not None:
-                    on_done()
-                return
-            self.run_graph(graphs[index], on_done=lambda: chain(index + 1))
-
-        chain(0)
-
-    # ------------------------------------------------------------------
-    def _absorbed_comms(self, graph: Graph) -> Dict[str, str]:
+    def _plan(self, graph: Graph) -> Dict[str, str]:
         """Map producer GEMM name -> collective it pipelines with."""
         pairs: Dict[str, str] = {}
         for op in graph.ops():
@@ -136,6 +59,17 @@ class OverlapRunner:
             if producer.kind is OpKind.GEMM and producer.name not in pairs:
                 pairs[producer.name] = op.name
         return pairs
+
+    def _start(self, graph: Graph, plan: Dict[str, str], op: LogicalOp,
+               finish: Callable[[str], None], solo: bool) -> None:
+        if op.name in plan.values():
+            return           # driven by its producer GEMM
+        if op.name in plan:
+            # Pipelined partitions and their collective slices never run
+            # isolated: overlapping them is the whole point of this runner.
+            self._start_pipelined(graph, op, plan[op.name], finish)
+            return
+        super()._start(graph, plan, op, finish, solo)
 
     def _start_pipelined(self, graph: Graph, gemm_op: LogicalOp,
                          comm_name: str,
@@ -164,9 +98,7 @@ class OverlapRunner:
             if state["comms"] == 0:
                 finish(comm_name)
 
-        base = compute_kernel(gemm_op, self.harness.config.gpu, self.tiling,
-                              launch_overhead_ns=self.launch_overhead_ns)
-        tb_ns = base.tb_pre_ns
+        tb_ns = self.compute_kernel(gemm_op).tb_pre_ns
 
         def launch_partition(index: int) -> None:
             # Partitions run strictly in sequence: partition i's collective

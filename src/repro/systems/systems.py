@@ -57,10 +57,11 @@ FUSELIB_COMPUTE_FRACTION = 0.94
 class Session:
     """A live simulated node: harness plus the system's graph runner.
 
-    Produced by :meth:`System.session`.  The session owns no control flow
-    of its own — callers submit graphs through ``runner.run_graph`` /
-    ``runner.run_graphs`` and drive ``harness.executor``.  ``finish()``
-    quiesces background machinery (fault watchdogs) and renders the
+    Produced by :meth:`System.session`.  :meth:`run` executes a fixed
+    graph sequence to completion.  Callers that decide the next graph
+    from inside the simulation instead submit graphs through
+    ``runner.run_graph`` and drive ``harness.sim`` themselves; ``finish()``
+    then quiesces background machinery (fault watchdogs) and renders the
     :class:`~repro.systems.base.RunResult`.
     """
 
@@ -87,6 +88,29 @@ class Session:
     def finish(self, **details) -> RunResult:
         self.harness.workload_complete()
         return self.harness.result(self.name, **details)
+
+    def run(self, graphs: List[Graph]) -> RunResult:
+        """Execute ``graphs`` in sequence and render the result.
+
+        The workload completes inside the simulation, so fault machinery
+        is quiesced at that instant and the makespan is the workload's,
+        not the fault-schedule horizon.
+        """
+        if not graphs:
+            raise WorkloadError("no graphs supplied")
+        harness = self.harness
+        finished = []
+
+        def _done() -> None:
+            finished.append(True)
+            harness.workload_complete()
+
+        self.runner.run_graphs(graphs, on_done=_done)
+        harness.executor.run()
+        if not finished:
+            raise WorkloadError(
+                f"{self.name}: graphs did not run to completion")
+        return harness.result(self.name)
 
 
 class System:
@@ -128,22 +152,7 @@ class System:
 
     def run(self, graphs: List[Graph]) -> RunResult:
         """Execute ``graphs`` in sequence on a fresh simulated node."""
-        if not graphs:
-            raise WorkloadError("no graphs supplied")
-        session = self.session()
-        harness, runner = session.harness, session.runner
-        finished = {"done": False}
-
-        def _done() -> None:
-            finished["done"] = True
-            harness.workload_complete()
-
-        runner.run_graphs(graphs, on_done=_done)
-        harness.executor.run()
-        if not finished["done"]:
-            raise WorkloadError(
-                f"{self.name}: graphs did not run to completion")
-        return harness.result(self.name)
+        return self.session().run(graphs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,16 @@ push multicast whose receivers gate the consumer GEMM's TBs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..common.errors import WorkloadError
 from ..gpu.remote_ops import Transport
 from ..interconnect.message import Address
-from ..llm.graph import CommKind, Graph, LogicalOp, OpKind
+from ..llm.graph import CommKind, Graph, GraphRunner, LogicalOp, OpKind
 from ..llm.tiling import (
     TilingConfig,
     ag_gemm_kernel,
     ceil_div,
-    compute_kernel,
     gemm_rs_kernel,
     make_layout,
     reduction_sub_chunks,
@@ -39,30 +38,29 @@ from .base import Harness
 
 DTYPE_BYTES = 2
 
+#: Per-graph T3 lowering: RS name by producer GEMM, consumer GEMM names by
+#: AG, and every op driven by another op's lowering.
+_Plan = Tuple[Dict[str, str], Dict[str, List[str]], Set[str]]
 
-class T3Runner:
+
+class T3Runner(GraphRunner):
     """Lower and execute a graph the T3 way."""
 
     def __init__(self, harness: Harness,
                  tiling: Optional[TilingConfig] = None,
                  nvls: bool = False,
                  launch_overhead_ns: Optional[float] = None):
-        self.harness = harness
+        super().__init__(harness, tiling, launch_overhead_ns)
         self.executor = harness.executor
-        self.tiling = tiling or TilingConfig()
         self.nvls = nvls
         self.reduce_transport = Transport.NVLS if nvls else Transport.DIRECT
-        self.launch_overhead_ns = (
-            harness.config.gpu.kernel_launch_overhead_ns
-            if launch_overhead_ns is None else launch_overhead_ns)
 
     # ------------------------------------------------------------------
-    def run_graph(self, graph: Graph,
-                  on_done: Optional[Callable[[], None]] = None) -> None:
+    def _plan(self, graph: Graph) -> _Plan:
         # RS absorbed into its producer GEMM; AG absorbed into consumers.
         rs_of_gemm: Dict[str, str] = {}
         ag_consumers: Dict[str, List[str]] = {}
-        absorbed: set = set()
+        absorbed: Set[str] = set()
         for op in graph.ops():
             if op.kind is not OpKind.COMM:
                 continue
@@ -77,59 +75,24 @@ class T3Runner:
                 if gemms:
                     ag_consumers[op.name] = gemms
                     absorbed.update(gemms)
+        return rs_of_gemm, ag_consumers, absorbed
 
-        done = {op.name: False for op in graph.ops()}
-        waiting = {op.name: len(op.deps) for op in graph.ops()}
-        pending = {"count": len(done)}
-
-        def finish(name: str) -> None:
-            done[name] = True
-            pending["count"] -= 1
-            if pending["count"] == 0 and on_done is not None:
-                on_done()
-                return
-            for consumer in graph.consumers_of(name):
-                waiting[consumer.name] -= 1
-                if waiting[consumer.name] == 0:
-                    start(consumer)
-
-        def start(op: LogicalOp) -> None:
-            if op.name in absorbed and op.kind is not OpKind.COMM:
-                return              # consumer GEMM launched by its AG
-            if op.name in absorbed:
-                return              # RS driven by its producer GEMM
-            if op.name in rs_of_gemm:
-                self._start_gemm_rs(graph, op, rs_of_gemm[op.name], finish)
-                return
-            if op.name in ag_consumers:
-                self._start_ag_gemms(graph, op, ag_consumers[op.name],
-                                     finish)
-                return
-            if op.kind is OpKind.COMM:
-                raise WorkloadError(
-                    f"T3 cannot lower collective {op.name} standalone")
-            kernel = compute_kernel(op, self.harness.config.gpu, self.tiling,
-                                    launch_overhead_ns=self.launch_overhead_ns)
-            self.executor.launch_kernel(
-                kernel, on_complete=lambda name=op.name: finish(name))
-
-        for op in graph.topo_order():
-            if waiting[op.name] == 0:
-                start(op)
-
-    def run_graphs(self, graphs: List[Graph],
-                   on_done: Optional[Callable[[], None]] = None) -> None:
-        if not graphs:
-            raise WorkloadError("no graphs to run")
-
-        def chain(index: int) -> None:
-            if index == len(graphs):
-                if on_done is not None:
-                    on_done()
-                return
-            self.run_graph(graphs[index], on_done=lambda: chain(index + 1))
-
-        chain(0)
+    def _start(self, graph: Graph, plan: _Plan, op: LogicalOp,
+               finish: Callable[[str], None], solo: bool) -> None:
+        rs_of_gemm, ag_consumers, absorbed = plan
+        if op.name in absorbed:
+            return      # RS driven by its producer GEMM, GEMM by its AG
+        if op.name in rs_of_gemm:
+            self._start_gemm_rs(graph, op, rs_of_gemm[op.name], finish)
+            return
+        if op.name in ag_consumers:
+            self._start_ag_gemms(graph, op, ag_consumers[op.name], finish)
+            return
+        if op.kind is OpKind.COMM:
+            raise WorkloadError(
+                f"T3 cannot lower collective {op.name} standalone")
+        self.executor.launch_kernel(self.compute_kernel(op),
+                                    on_complete=lambda: finish(op.name))
 
     # ------------------------------------------------------------------
     # GEMM with tracked & triggered ReduceScatter
@@ -185,9 +148,7 @@ class T3Runner:
                 # wgrad-style consumer (reads the gathered tensor along K):
                 # no per-row overlap applies; plain compute, its traffic
                 # rides its sibling's fetches through the chunk cache.
-                kernel = compute_kernel(
-                    gemm, self.harness.config.gpu, self.tiling,
-                    launch_overhead_ns=self.launch_overhead_ns)
+                kernel = self.compute_kernel(gemm)
             elif self.nvls:
                 kernel = self._push_gated_gemm(gemm, layout)
             else:

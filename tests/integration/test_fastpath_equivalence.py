@@ -19,7 +19,8 @@ Baseline runs compare four observables (makespan, total compute, TB
 counts, GPU utilization), because the link-windows layer still changes
 other physics of some ring, NVLS and T3 cells.  The kernel layer's conflict counter is pinned to zero on
 graphs with parallel branches (training backward), guarding the
-isolated-launch soloness analysis in ``BarrierRunner.run_graph``.
+``solo`` hint of the dependency walk every runner shares
+(``repro.llm.graph.GraphRunner.run_graph``).
 """
 
 import dataclasses
@@ -181,6 +182,44 @@ def test_serving_run_preserves_observables(layer):
     assert fast.iterations == ref.iterations
     assert ([s.ttft_ns for s in fast.stats]
             == [s.ttft_ns for s in ref.stats])
+
+
+def _fig20_first_request(system, seed=2026):
+    """The first request of the fig20 QUICK stream, served on ``system``."""
+    from repro.experiments.fig20_serving import spec_for
+    from repro.experiments.runner import QUICK, style_for
+    from repro.llm.models import by_name
+    from repro.llm.serving import generate_requests, simulate_serving
+
+    spec = spec_for(QUICK, seed)
+    instance = make_system(system, dgx_h100_config(), tiling=QUICK.tiling,
+                           chunk_bytes=QUICK.coll_chunk_bytes)
+    return simulate_serving(instance, spec, model=by_name(spec.model),
+                            style=style_for(system),
+                            requests=generate_requests(spec)[:1]).run
+
+
+def test_pipelined_collective_slices_take_the_event_path():
+    """A software pipeline starts a collective slice and then launches the
+    next GEMM partition in the same frame, so the slice is not isolated
+    even when the event queue is empty.  Replaying it let the next
+    slice's event-path link intervals land before the replay's own
+    (``busy intervals must be recorded in order``); the analytic layer
+    must leave pipelined slices on the event path and match the
+    reference."""
+    with fastpath.overridden(fastpath.DISABLED):
+        ref = _fig20_first_request("CoCoNet-NVLS")
+    with fastpath.overridden(LAYER_CONFIGS["analytic_collectives"]):
+        fast = _fig20_first_request("CoCoNet-NVLS")
+    assert _physics(fast) == _physics(ref)
+
+
+def test_solo_collectives_replay_on_barrier_serving():
+    """Engagement pin: collectives the graph walk starts ``solo`` on a
+    barrier system still replay analytically during serving."""
+    with fastpath.overridden(fastpath.FastPathConfig()):
+        res = _fig20_first_request("TP-NVLS")
+    assert res.details.get("fastpath.analytic_ops", 0.0) > 0
 
 
 @pytest.mark.parametrize("layer", sorted(LAYER_CONFIGS))

@@ -1,16 +1,12 @@
-"""Unit tests for the ISA surface, topology description, and area model."""
-
-import pytest
+"""Unit tests for the ISA surface and the area model."""
 
 from repro.cais.compiler import MemOpKind
 from repro.cais.isa import (
     CAIS_OPS, REQUEST_OP, is_cais_request, mnemonic)
-from repro.common.config import LinkSpec, SwitchSpec, dgx_h100_config
-from repro.common.errors import ConfigError
+from repro.common.config import SwitchSpec
 from repro.hw.area import (
     gpu_synchronizer_area, overhead_report, switch_merge_unit_area)
 from repro.interconnect.message import Message, Op, gpu_node
-from repro.interconnect.topology import Topology, dgx_h100_topology
 
 
 class TestIsa:
@@ -33,24 +29,6 @@ class TestIsa:
         assert mnemonic(MemOpKind.LOAD) == "ld.global"
         assert mnemonic(MemOpKind.LOAD_CAIS) == "ld.global.cais"
         assert mnemonic(MemOpKind.REDUCE_CAIS) == "red.global.cais"
-
-
-class TestTopology:
-    def test_dgx_wiring_fully_connected(self):
-        topo = dgx_h100_topology(dgx_h100_config())
-        links = topo.links()
-        assert len(links) == 8 * 4
-        assert (0, 0) in links and (7, 3) in links
-
-    def test_bandwidth_aggregates(self):
-        topo = Topology(num_gpus=8, num_switches=4,
-                        link=LinkSpec(bandwidth_gbps=16.0))
-        assert topo.per_gpu_bandwidth_gbps() == pytest.approx(64.0)
-        assert topo.bisection_bandwidth_gbps() == pytest.approx(4 * 4 * 16)
-
-    def test_invalid_topology_rejected(self):
-        with pytest.raises(ConfigError):
-            Topology(num_gpus=1, num_switches=4, link=LinkSpec())
 
 
 class TestAreaModel:

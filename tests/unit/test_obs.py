@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.common.events import Simulator
-from repro.metrics.export import run_result_to_dict
+from repro.experiments.parallel import _utilization_series
 from repro.metrics.timeline import Timeline
 from repro.obs.metrics import (Histogram, MetricsRegistry, NullMetrics,
                                merge_histogram_states)
@@ -285,34 +285,6 @@ def test_timeline_flush_clamps_end_before_start():
     assert span.end_ns == 80.0           # never negative duration
 
 
-def _fake_result(timeline=None, metrics=None):
-    res = types.SimpleNamespace(
-        system="X", makespan_ns=100.0, compute_ns=1.0, tbs_completed=1,
-        events=1, gpu_utilization=0.5, merge_stats=None, network=None,
-        timeline=timeline, metrics=metrics, details={})
-    res.average_bandwidth_utilization = lambda: 0.0
-    return res
-
-
-def test_export_flags_unterminated_kernels():
-    tl = Timeline()
-    h = tl.begin("good", 0.0)
-    tl.end(h, 10.0)
-    tl.begin("stuck", 5.0)
-    tl.flush(100.0)
-    out = run_result_to_dict(_fake_result(timeline=tl))
-    by_name = {k["name"]: k for k in out["kernels"]}
-    assert "unterminated" not in by_name["good"]
-    assert by_name["stuck"]["unterminated"] is True
-
-
-def test_export_folds_metrics_snapshot():
-    reg = MetricsRegistry()
-    reg.counter("c").inc(7)
-    out = run_result_to_dict(_fake_result(metrics=reg))
-    assert out["metrics"]["counters"]["c"] == 7
-
-
 class _FakeTracker:
     bytes_transferred = 0
 
@@ -325,19 +297,20 @@ class _FakeTracker:
 def test_utilization_series_window_count_is_exact():
     link = types.SimpleNamespace(tracker=_FakeTracker())
     network = types.SimpleNamespace(all_links=lambda: [link])
+    # 89,024,501.84 ns in 12 windows: accumulating t += window emitted a
+    # 13th sliver window, so a fig16 summary never satisfied its task.
     for makespan, windows in ((0.3, 3), (1.0, 7), (515037.2, 13),
-                              (1e9 / 3, 11), (7.0, 70)):
-        res = _fake_result()
-        res.network = network
-        res.makespan_ns = makespan
-        out = run_result_to_dict(res, time_series_windows=windows)
-        series = out["utilization_series"]
+                              (1e9 / 3, 11), (7.0, 70),
+                              (89024501.84, 12)):
+        series = _utilization_series(network, makespan, windows)
         assert len(series) == windows, (makespan, windows)
-        # Centers strictly increase and the last window ends at makespan.
-        centers = [s["t_ns"] for s in series]
+        # Centers (us) strictly increase and the last window ends at
+        # makespan.
+        centers = [t_us for t_us, _ in series]
         assert all(a < b for a, b in zip(centers, centers[1:]))
         width = makespan / windows
-        assert centers[-1] == pytest.approx(makespan - width / 2, rel=1e-6)
+        assert centers[-1] == pytest.approx((makespan - width / 2) / 1e3,
+                                            rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

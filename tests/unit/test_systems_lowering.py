@@ -1,13 +1,18 @@
 """Unit tests for the baseline systems' lowering machinery."""
 
+import collections
+
 import pytest
 
+from repro import obs
 from repro.cais import compiler as cais_compiler
+from repro.cais.dataflow import CaisRunner
 from repro.common.config import dgx_h100_config
 from repro.common.errors import WorkloadError
+from repro.experiments.runner import style_for
 from repro.llm import tiling as llm_tiling
 from repro.llm.graph import CommKind, GemmShape, Graph, LogicalOp, OpKind
-from repro.llm.models import LLAMA_7B
+from repro.llm.models import LLAMA_7B, ModelConfig
 from repro.llm.tiling import TilingConfig
 from repro.llm.tp import sublayer_graph
 from repro.systems import (
@@ -15,6 +20,9 @@ from repro.systems import (
     SYSTEM_CLASSES, T3Runner, make_system)
 
 TILING = TilingConfig(chunk_bytes=32768, red_chunk_bytes=8192)
+#: Smallest L1 every lowering accepts: one 128-row block per GPU.
+TINY_MODEL = ModelConfig(name="tiny", hidden=1024, ffn_hidden=2048,
+                         heads=8, seq_len=1024, batch=1)
 
 
 def fresh():
@@ -89,7 +97,7 @@ class TestOverlapRunner:
         g.add(tiny_gemm("gemm", m=1024, n=1024))
         g.add(LogicalOp("ar", OpKind.COMM, comm=CommKind.ALL_REDUCE,
                         comm_bytes=8 << 20, deps=("gemm",)))
-        pairs = runner._absorbed_comms(g)
+        pairs = runner._plan(g)
         assert pairs == {"gemm": "ar"}
         done = {"ok": False}
         runner.run_graph(g, on_done=lambda: done.update(ok=True))
@@ -104,7 +112,7 @@ class TestOverlapRunner:
         g.add(tiny_gemm("gemm"))
         g.add(LogicalOp("ag", OpKind.COMM, comm=CommKind.ALL_GATHER,
                         comm_bytes=1 << 20, deps=("gemm",)))
-        assert runner._absorbed_comms(g) == {}
+        assert runner._plan(g) == {}
 
     def test_overlap_beats_barrier_on_gemm_ar(self):
         """The point of software pipelining: chunked GEMM->AR overlap is
@@ -157,6 +165,92 @@ class TestT3Runner:
         engines = [e for sw in harness.network.switches
                    for e in sw.engines if isinstance(e, NvlsEngine)]
         assert sum(e.multicasts for e in engines) > 0
+
+
+class TestGraphWalkContract:
+    """Every runner lowers ops on the one shared dependency walk
+    (``repro.llm.graph.GraphRunner``): a double finish is rejected, each
+    op leaves exactly one causal boundary node, and nothing launched from
+    a frame that starts two ops claims to be isolated."""
+
+    RUNNERS = {"TP-NVLS": BarrierRunner, "CoCoNet-NVLS": OverlapRunner,
+               "T3": T3Runner, "CAIS": CaisRunner}
+
+    @pytest.fixture(autouse=True)
+    def _clean_obs(self):
+        obs.reset()
+        yield
+        obs.reset()
+
+    def session(self, system):
+        session = make_system(system, dgx_h100_config(), tiling=TILING,
+                              jitter=False).session()
+        assert type(session.runner) is self.RUNNERS[system]
+        return session
+
+    @pytest.mark.parametrize("system", RUNNERS)
+    def test_op_finishing_twice_is_rejected(self, system):
+        session = self.session(system)
+        runner = session.runner
+        lower = runner._start
+
+        def finish_twice(graph, plan, op, finish, solo):
+            def twice(name):
+                finish(name)
+                finish(name)
+            lower(graph, plan, op, twice, solo)
+
+        runner._start = finish_twice
+        g = Graph("t")
+        g.add(tiny_gemm("a"))
+        g.add(tiny_gemm("b", deps=("a",)))
+        runner.run_graph(g)
+        with pytest.raises(WorkloadError, match="op a finished twice"):
+            session.harness.executor.run()
+
+    @pytest.mark.parametrize("system", RUNNERS)
+    def test_each_op_records_one_boundary_node(self, system):
+        recorder = obs.CausalityRecorder()
+        obs.install(causality=recorder)
+        session = self.session(system)
+        graph = sublayer_graph(TINY_MODEL, 8, "L1", style=style_for(system))
+        session.run([graph])
+        boundaries = collections.Counter(
+            node.label for node in recorder.nodes
+            if node.label.startswith("op ") and node.label.endswith(" done"))
+        assert boundaries == {f"op {op.name} done": 1 for op in graph.ops()}
+
+    @pytest.mark.parametrize("system", RUNNERS)
+    def test_two_roots_launch_nothing_isolated(self, system):
+        session = self.session(system)
+        runner, executor = session.runner, session.harness.executor
+        # Barrier-style runners (overlap included) lower a root
+        # collective; T3 and CAIS reject a standalone one.
+        barrier = isinstance(runner, BarrierRunner)
+        g = Graph("t")
+        g.add(tiny_gemm("a"))
+        g.add(LogicalOp("c", OpKind.COMM, comm=CommKind.ALL_REDUCE,
+                        comm_bytes=1 << 20) if barrier else tiny_gemm("b"))
+        flags = []
+        launch = executor.launch_kernel
+
+        def spy_launch(kernel, on_complete=None, isolated=False):
+            flags.append(isolated)
+            launch(kernel, on_complete=on_complete, isolated=isolated)
+
+        executor.launch_kernel = spy_launch
+        if barrier:
+            comm_run = runner.comm.run
+
+            def spy_comm(kind, nbytes, on_complete, on_chunk=None,
+                         isolated=False):
+                flags.append(isolated)
+                comm_run(kind, nbytes, on_complete, on_chunk,
+                         isolated=isolated)
+
+            runner.comm.run = spy_comm
+        session.run([g])
+        assert flags == [False, False]
 
 
 class TestDirectComm:

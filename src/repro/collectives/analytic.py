@@ -141,8 +141,8 @@ class CollectiveFastPath:
     together.  An **empty event queue** means no kernel completion,
     serving arrival or timer already scheduled can fire during the phase.
     The caller's ``isolated=True`` (the contract of
-    ``Executor.launch_kernel``) means nothing else starts in the current
-    event frame after this call.  An empty queue alone is not enough: a
+    ``Executor.launch_kernel``) means nothing else starts before the
+    phase completes.  An empty queue alone is not enough: a
     caller that launches a kernel right after the call (a software
     pipeline's next GEMM partition) puts work in flight that the queue
     did not hold when the call was made.  With both, nothing can start

@@ -357,6 +357,12 @@ class Simulator:
         """Number of events still in the queue (including cancelled ones)."""
         return len(self._queue)
 
+    def next_time(self) -> Optional[float]:
+        """Time of the earliest queued event (cancelled ones included), or
+        None when the queue is empty."""
+        entry = self._queue.peek()
+        return None if entry is None else entry[0]
+
     def cancelled_pending(self) -> int:
         """Cancelled events still occupying queue slots."""
         return self._cancelled_live

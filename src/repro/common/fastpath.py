@@ -66,11 +66,14 @@ class FastPathConfig:
         Calendar-queue choice is provably output-invariant so it is *not*
         part of the token; the other layers change event interleaving
         (windows) or skip simulation entirely (analytic), so cached
-        summaries must not be shared across those modes.
+        summaries must not be shared across those modes.  An enabled
+        kernel layer reads ``-k2`` since it also replays software
+        pipelines' GEMM partitions, which changed the event counts of
+        the overlap baselines' summaries.
         """
         return (f"fp:w{int(self.link_windows)}"
                 f"-a{int(self.analytic_collectives)}"
-                f"-k{int(self.analytic_kernels)}"
+                f"-k{2 if self.analytic_kernels else 0}"
                 f"-v{VALIDATE_OCCURRENCES}")
 
 

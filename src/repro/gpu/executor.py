@@ -138,6 +138,11 @@ class Executor:
                             and not self._mx.enabled
                             and not self._cz.enabled)
         self._fp_inflight = 0
+        # With these positive, no fabric event schedules another at its
+        # own instant (see _kernel_fastpath_eligible).
+        self._fp_positive_latency = (config.link.latency_ns > 0
+                                     and config.switch.hop_latency_ns > 0
+                                     and config.gpu.hbm_latency_ns > 0)
         self.fastpath_kernels = 0
         self.fastpath_kernel_events_elided = 0
         self.fastpath_kernel_conflicts = 0
@@ -211,11 +216,13 @@ class Executor:
         """Launch ``kernel`` on every GPU; ``on_complete`` fires when the
         last TB on the last GPU finishes.
 
-        ``isolated=True`` is a caller guarantee that nothing else starts in
-        the current event frame after this launch (no sibling kernels, no
-        collectives).  Together with an empty event queue it makes the
-        launch window provably free of concurrent activity, which is what
-        lets the kernel fast-path (DESIGN.md §11) replay the slot pipeline
+        ``isolated=True`` is a caller guarantee that, until this kernel
+        completes, nothing else starts and the only work in flight is
+        work that launches no kernel, takes no SM slot and draws from no
+        executor RNG stream: either nothing at all (the graph walk's
+        ``solo``: an empty event queue), or a software pipeline's own
+        collective slices.  That makes the slot pipeline a closed system,
+        which is what lets the kernel fast-path (DESIGN.md §11) replay it
         arithmetically.  Callers that overlap kernels with other work must
         leave it False — the default costs only speed, never correctness.
         """
@@ -262,17 +269,25 @@ class Executor:
     def _kernel_fastpath_eligible(self, kernel: KernelInstance) -> bool:
         """Can this launch be evaluated arithmetically, bit-exactly?
 
-        Two families of conditions:
+        Three families of conditions:
 
         * *Kernel shape* — every TB must be pure compute with no external
           coupling: no remote loads/reduces, no inter-TB dependency tokens,
           no per-TB completion callbacks, no TB-group sync phases.
-        * *Isolation* — the event queue must be empty and every GPU idle
-          and fault-free.  With nothing queued, no event can fire before
-          the kernel's completion event, so nothing can contend for SM
-          slots or interleave RNG draws mid-window: the specialized replay
-          below is then *provably* the same computation the event path
-          would perform, not an approximation of it.
+        * *Isolation* — the caller's ``isolated=True`` (nothing that
+          touches SM slots or executor RNG streams runs until completion),
+          no kernel or replay in flight, and every GPU idle and fault-free.
+          Nothing can then contend for SM slots or interleave RNG draws
+          mid-window: the specialized replay below is *provably* the same
+          computation the event path would perform, not an approximation.
+        * *Order at completion* — with events queued at launch, the
+          replay's completion must land where the event path's last TB
+          completion would among same-instant events.  The event path
+          queues that completion at the instant itself (a zero
+          ``tb_post_ns`` post phase), behind every event already queued
+          for it; the replay's deferral (below) does the same, provided
+          no queued event schedules another at its own instant, which
+          positive fabric latencies guarantee.
         """
         if (kernel.remote_loads is not None
                 or kernel.remote_reduces is not None
@@ -281,7 +296,10 @@ class Executor:
                 or kernel.sync_prelaunch or kernel.sync_preaccess
                 or kernel.num_blocks() == 0):
             return False
-        if self.sim.pending() != 0 or self._fp_inflight:
+        if self._fp_inflight:
+            return False
+        if self.sim.pending() and (kernel.tb_post_ns != 0.0
+                                   or not self._fp_positive_latency):
             return False
         if any(self._kernel_remaining.values()):
             return False
@@ -321,7 +339,12 @@ class Executor:
           with the event path's exact ``occupied * dt`` terms.
 
         One real event is scheduled at the computed end time to apply the
-        state deltas and fire the kernel-completion callbacks.
+        state deltas and fire the kernel-completion callbacks.  It is
+        queued at launch, ahead of any event queued later for the same
+        instant, while the event path's last TB completion is queued at
+        that instant, behind them.  So when it fires with another event
+        still queued for its instant, it re-queues itself there under a
+        fresh sequence number, until none is left.
         """
         sim = self.sim
         now = sim.now
@@ -447,6 +470,11 @@ class Executor:
         self.fastpath_kernel_events_elided += num_gpus + 2 * total - 1
 
         def finish() -> None:
+            if sim.next_time() == t_end:
+                # Defer behind same-instant events; one more event fired.
+                self.fastpath_kernel_events_elided -= 1
+                sim.schedule_at(t_end, finish)
+                return
             self._fp_inflight -= 1
             for g, gpu in enumerate(self.gpus):
                 gpu._busy_integral_ns = integral[g]

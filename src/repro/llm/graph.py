@@ -171,9 +171,10 @@ class GraphRunner:
     any), the ``"op <name> done"`` causal boundary node, the rejection of
     an op finishing twice, and the ``solo`` hint.  ``solo`` is true only
     for a graph's only root, or for the sole op made ready by its
-    producer's completion while no enclosing start is still mid-loop.
-    Then nothing else starts in the current event frame after it: the
-    caller contract behind ``launch_kernel(isolated=...)`` and
+    producer's completion while no enclosing start is still mid-loop,
+    and in both cases only while the event queue is empty.  Then nothing
+    else is in flight, and nothing else starts before the op completes:
+    the caller contract behind ``launch_kernel(isolated=...)`` and
     ``CommImpl.run(isolated=...)``.
     """
 
@@ -238,8 +239,9 @@ class GraphRunner:
                 if waiting[consumer.name] == 0:
                     ready.append(consumer)
             # Parallel branches (e.g. dgrad + wgrad) run concurrently, so
-            # neither may claim to be the frame's only activity.
-            solo = len(ready) == 1 and depth == 0
+            # neither may claim to be the only activity; nor may an op
+            # started while queued events are still in flight.
+            solo = len(ready) == 1 and depth == 0 and not sim.pending()
             for consumer in ready:
                 start(consumer, solo)
 
@@ -252,8 +254,9 @@ class GraphRunner:
                 depth -= 1
 
         roots = [op for op in order if waiting[op.name] == 0]
+        solo = len(roots) == 1 and not sim.pending()
         for op in roots:
-            start(op, len(roots) == 1)
+            start(op, solo)
 
     def run_graphs(self, graphs: List[Graph],
                    on_done: Optional[Callable[[], None]] = None) -> None:

@@ -5,7 +5,9 @@ intervals during which the link was serializing data.  From those intervals
 we derive the utilization metrics of the paper's Figures 15 and 16:
 
 * average utilization over the busy span of a run (Fig. 15), and
-* a windowed utilization time series (Fig. 16).
+* a windowed utilization time series (Fig. 16), which
+  :func:`repro.experiments.parallel._utilization_series` builds from
+  :meth:`BandwidthTracker.utilization` over every link.
 """
 
 from __future__ import annotations
@@ -114,19 +116,3 @@ class BandwidthTracker:
     def last_activity(self) -> float:
         """End of the last busy interval (0 if the link never fired)."""
         return self._intervals[-1][1] if self._intervals else 0.0
-
-    def time_series(self, t0: float, t1: float,
-                    window: float) -> List[Tuple[float, float]]:
-        """Windowed utilization samples ``[(window_center, utilization), ...]``.
-
-        Used to regenerate the Fig. 16 bandwidth-over-time traces.
-        """
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        samples = []
-        t = t0
-        while t < t1:
-            hi = min(t + window, t1)
-            samples.append(((t + hi) / 2.0, self.utilization(t, hi)))
-            t += window
-        return samples

@@ -313,10 +313,9 @@ class CommImpl(Protocol):
     """Collective transport used by barrier/overlap runners.
 
     ``isolated=True`` is the caller contract of
-    ``Executor.launch_kernel(isolated=...)``: nothing else starts in the
-    current event frame after this call.  Transports ignore it; the
-    analytic fast path (:mod:`repro.collectives.analytic`) engages only
-    when it is set.
+    ``Executor.launch_kernel(isolated=...)``: nothing else starts before
+    the collective completes.  Transports ignore it; the analytic fast
+    path (:mod:`repro.collectives.analytic`) engages only when it is set.
     """
 
     def run(self, kind: CommKind, nbytes: int,

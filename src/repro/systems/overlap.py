@@ -16,6 +16,11 @@ Two costs distinguish them from hardware approaches, both modelled here:
 Neither overlaps a collective with the *following* GEMM (AG -> GEMM runs
 as a barrier), which is exactly the flexibility the paper credits CAIS
 with (Section V-A-3).
+
+A pipelined GEMM that the graph walk starts ``solo`` owns the node until
+its last partition completes, so every partition is launched
+``isolated`` and takes the analytic kernel replay (DESIGN.md §11
+Layer 4); the collective slices always take the event path.
 """
 
 from __future__ import annotations
@@ -65,15 +70,23 @@ class OverlapRunner(BarrierRunner):
         if op.name in plan.values():
             return           # driven by its producer GEMM
         if op.name in plan:
-            # Pipelined partitions and their collective slices never run
-            # isolated: overlapping them is the whole point of this runner.
-            self._start_pipelined(graph, op, plan[op.name], finish)
+            self._start_pipelined(graph, op, plan[op.name], finish, solo)
             return
         super()._start(graph, plan, op, finish, solo)
 
     def _start_pipelined(self, graph: Graph, gemm_op: LogicalOp,
-                         comm_name: str,
-                         finish: Callable[[str], None]) -> None:
+                         comm_name: str, finish: Callable[[str], None],
+                         solo: bool) -> None:
+        """Run ``gemm_op`` as row partitions, each followed by its slice
+        of ``comm_name``.
+
+        A GEMM started ``solo`` owns the node until its last partition
+        completes: the only other work in flight is its own slices, which
+        launch no kernels, take no SM slots and draw from no executor RNG
+        stream.  Every partition is then as closed as a barrier kernel and
+        is launched ``isolated`` (DESIGN.md §11 Layer 4).  Slices overlap
+        the next partition by design and never run isolated.
+        """
         comm_op = graph[comm_name]
         shape = gemm_op.gemm
         tile = self.tiling.tile
@@ -114,6 +127,7 @@ class OverlapRunner(BarrierRunner):
                 if i + 1 < partitions:
                     launch_partition(i + 1)
 
-            self.harness.executor.launch_kernel(kernel, on_complete=done)
+            self.harness.executor.launch_kernel(kernel, on_complete=done,
+                                                isolated=solo)
 
         launch_partition(0)

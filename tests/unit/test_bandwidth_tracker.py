@@ -59,22 +59,6 @@ def test_activity_bounds():
     assert t.last_activity() == 7.0
 
 
-def test_time_series_windows():
-    t = BandwidthTracker()
-    t.record(0.0, 10.0, 1)
-    series = t.time_series(0.0, 20.0, window=10.0)
-    assert len(series) == 2
-    (c0, u0), (c1, u1) = series
-    assert c0 == pytest.approx(5.0) and u0 == pytest.approx(1.0)
-    assert c1 == pytest.approx(15.0) and u1 == pytest.approx(0.0)
-
-
-def test_time_series_rejects_bad_window():
-    t = BandwidthTracker()
-    with pytest.raises(ValueError):
-        t.time_series(0.0, 1.0, window=0.0)
-
-
 def test_utilization_rejects_empty_window():
     t = BandwidthTracker()
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from repro.cais.compiler import (
     reset_group_ids)
 from repro.cais.coordination import GroupSyncTable
 from repro.cais.merge_unit import MergeUnit
+from repro.common import fastpath
 from repro.common.config import dgx_h100_config, GpuSpec
 from repro.common.errors import ConfigError, DeadlockError
 from repro.common.events import Simulator
@@ -110,6 +111,55 @@ class TestComputeOnly:
         ex.run()
         assert [name for name, _ in order] == ["k1", "k2"]
         assert order[1][1] == pytest.approx(150.0)
+
+
+class TestKernelReplayOrder:
+    """An isolated kernel launched behind queued events is replayed
+    analytically only where its completion keeps the event path's place
+    among the events queued for the same instant."""
+
+    KERNELS_ONLY = fastpath.FastPathConfig(
+        calendar_queue=False, link_windows=False,
+        analytic_collectives=False, analytic_kernels=True)
+
+    @staticmethod
+    def kernel(post_ns):
+        return KernelInstance("k", grid=(16,), tb_pre_ns=1000.0,
+                              tb_post_ns=post_ns)
+
+    def run(self, cfg, post_ns, t_end=None):
+        with fastpath.overridden(cfg):
+            sim, _net, ex, _ = make_system(seed=5)
+        log = []
+        if t_end is not None:
+            # Queued before the launch, this event queues a foreign one
+            # for the completion instant after the launch.
+            sim.schedule(t_end - 10.0, lambda: sim.schedule_at(
+                t_end, log.append, "foreign"))
+        ex.launch_kernel(self.kernel(post_ns), isolated=True,
+                         on_complete=lambda: log.append("kernel"))
+        end = ex.run()
+        return log, end, sim.events_processed, ex
+
+    @pytest.mark.parametrize("post_ns", (0.0, 100.0))
+    def test_same_instant_event_fires_in_reference_order(self, post_ns):
+        _, t_end, _, _ = self.run(fastpath.DISABLED, post_ns)
+        ref_log, _, ref_events, _ = self.run(fastpath.DISABLED, post_ns,
+                                             t_end)
+        log, end, events, ex = self.run(self.KERNELS_ONLY, post_ns, t_end)
+        assert end == t_end
+        assert log == ref_log
+        if post_ns == 0.0:
+            # The event path queues the last TB completion at the instant
+            # itself, behind the foreign event; the replay defers to it.
+            assert log == ["foreign", "kernel"]
+            assert ex.fastpath_kernels == 1
+            assert ref_events - events == ex.fastpath_kernel_events_elided
+        else:
+            # A post phase queues that completion before the foreign
+            # event, a place no deferral can take: the event path runs.
+            assert log == ["kernel", "foreign"]
+            assert ex.fastpath_kernels == 0
 
 
 class TestTokens:

@@ -252,6 +252,34 @@ class TestGraphWalkContract:
         session.run([g])
         assert flags == [False, False]
 
+    @pytest.mark.parametrize("other", (None, "root", "event"))
+    def test_partitions_isolated_only_when_pipeline_owns_node(self, other):
+        """A pipelined GEMM started ``solo`` owns the node until its last
+        partition completes, so every partition launches isolated; one
+        started next to another root, or while an event is queued,
+        launches none isolated."""
+        session = self.session("CoCoNet-NVLS")
+        executor = session.harness.executor
+        g = Graph("t")
+        g.add(tiny_gemm("a"))
+        g.add(LogicalOp("c", OpKind.COMM, deps=("a",),
+                        comm=CommKind.ALL_REDUCE, comm_bytes=1 << 20))
+        if other == "root":
+            g.add(tiny_gemm("b"))
+        elif other == "event":
+            session.harness.sim.schedule(0.0, lambda: None)
+        flags = {}
+        launch = executor.launch_kernel
+
+        def spy_launch(kernel, on_complete=None, isolated=False):
+            flags[kernel.name] = isolated
+            launch(kernel, on_complete=on_complete, isolated=isolated)
+
+        executor.launch_kernel = spy_launch
+        session.run([g])
+        assert sum(name.startswith("a.p") for name in flags) > 1
+        assert set(flags.values()) == {other is None}
+
 
 class TestDirectComm:
     def test_all_collectives_degenerate_to_full_replica_reads(self):

@@ -53,7 +53,6 @@ class _Run:
     on_chunk: Optional[ChunkCallback]
     #: Per-shard chunk ids not yet pulled (in-flight window control).
     pending_pulls: Optional[Dict[int, List[int]]] = None
-    finish_time: float = -1.0
 
 
 class NvlsCollective:
@@ -77,7 +76,10 @@ class NvlsCollective:
         self.chunk_bytes = chunk_bytes
         self.sim = network.sim
         self.local_values = local_values
+        # Runs in flight.  A finished run leaves only its finish time, so
+        # that its callbacks are dropped as soon as it completes.
         self._runs: Dict[int, _Run] = {}
+        self._finished_at: Dict[int, float] = {}
         self._cz = current_causality()
         # Runs aborted by fault handling: late in-flight messages for them
         # are swallowed instead of crashing the run lookup.
@@ -145,7 +147,10 @@ class NvlsCollective:
             self._pull(run_id, run, shard, pending.pop(0))
 
     def finish_time(self, run_id: int) -> float:
-        return self._runs[run_id].finish_time
+        """Simulation time at which the run completed (-1 if running)."""
+        if run_id in self._runs:
+            return -1.0
+        return self._finished_at[run_id]
 
     # ------------------------------------------------------------------
     # Internals
@@ -230,7 +235,7 @@ class NvlsCollective:
                 self._on_pulled(gpu_index, run_id, run, shard, chunk, msg)
                 return True
             if msg.op is Op.STORE:
-                self._finish_chunk(run, shard, chunk, gpu_index)
+                self._finish_chunk(run_id, run, shard, chunk, gpu_index)
                 return True
             return False
         return handler
@@ -244,15 +249,16 @@ class NvlsCollective:
         if run.kind == "ar":
             self._push(run_id, run, shard, chunk, payload=value)
             return
-        self._finish_chunk(run, shard, chunk, gpu)
+        self._finish_chunk(run_id, run, shard, chunk, gpu)
 
-    def _finish_chunk(self, run: _Run, shard: int, chunk: int,
+    def _finish_chunk(self, run_id: int, run: _Run, shard: int, chunk: int,
                       gpu: int) -> None:
         if run.on_chunk is not None:
             run.on_chunk(shard, chunk, gpu)
         run.remaining -= 1
         if run.remaining == 0:
-            run.finish_time = self.sim.now
+            del self._runs[run_id]
+            self._finished_at[run_id] = self.sim.now
             if self._cz.enabled:
                 # Completion marker: the run finishes when its last chunk
                 # lands — ambient cause is that delivery.

@@ -59,7 +59,6 @@ class _Run:
     on_complete: Callable[[], None]
     on_chunk: Optional[ChunkCallback]
     local_values: Optional[LocalValueFn]
-    finish_time: float = -1.0
 
 
 class RingCollective:
@@ -74,7 +73,10 @@ class RingCollective:
         self.k = len(gpus)
         self.chunk_bytes = chunk_bytes
         self.sim = network.sim
+        # Runs in flight.  A finished run leaves only its finish time, so
+        # that its callbacks are dropped as soon as it completes.
         self._runs: Dict[int, _Run] = {}
+        self._finished_at: Dict[int, float] = {}
         self._cz = current_causality()
         # Fault-injection state (repro.faults): when present, every chunk
         # hop is tracked by the ack/retransmit protocol — the receiver acks
@@ -131,7 +133,9 @@ class RingCollective:
 
     def finish_time(self, run_id: int) -> float:
         """Simulation time at which the run completed (-1 if running)."""
-        return self._runs[run_id].finish_time
+        if run_id in self._runs:
+            return -1.0
+        return self._finished_at[run_id]
 
     # ------------------------------------------------------------------
     # Internals
@@ -239,21 +243,22 @@ class RingCollective:
                 self._send(run_id, run, "ag", shard, chunk, step=0, src=gpu,
                            payload=acc)
                 return
-            self._finish_chunk(run, shard, chunk, gpu)
+            self._finish_chunk(run_id, run, shard, chunk, gpu)
             return
         # AllGather hop: keep a copy, forward until the ring is covered.
-        self._finish_chunk(run, shard, chunk, gpu)
+        self._finish_chunk(run_id, run, shard, chunk, gpu)
         if step < self.k - 2:
             self._send(run_id, run, "ag", shard, chunk, step + 1, src=gpu,
                        payload=msg.payload)
 
-    def _finish_chunk(self, run: _Run, shard: int, chunk: int,
+    def _finish_chunk(self, run_id: int, run: _Run, shard: int, chunk: int,
                       gpu: int) -> None:
         if run.on_chunk is not None:
             run.on_chunk(shard, chunk, gpu)
         run.remaining -= 1
         if run.remaining == 0:
-            run.finish_time = self.sim.now
+            del self._runs[run_id]
+            self._finished_at[run_id] = self.sim.now
             if self._cz.enabled:
                 # Completion marker: the run finishes when its last chunk
                 # lands — ambient cause is that delivery.

@@ -30,10 +30,17 @@ Design notes
   ``until``/``max_events``, profiler or causal recording pops straight off
   it in one fused loop.  Every other case takes the general loop; both
   fire the same events in the same order.
+* :meth:`Simulator.run` pauses Python's cyclic garbage collector for its
+  whole length and restores the caller's setting when it returns or
+  raises.  That is safe because a run creates no cyclic garbage: every
+  model frees by reference counting what it stops using, and a harness
+  unwires its node when it renders its result (DESIGN.md §11).  This is
+  the only place the simulator touches :mod:`gc`.
 """
 
 from __future__ import annotations
 
+import gc
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -408,6 +415,12 @@ class Simulator:
         """
         self._work_reporters.append(reporter)
 
+    def unwire(self) -> None:
+        """Drop the registered work reporters.  They are bound to the
+        entities of the node that owns this simulator, so keeping them
+        would tie that node into a reference cycle once its run is over."""
+        self._work_reporters.clear()
+
     def outstanding_report(self) -> List[str]:
         """One line per entity that still has work outstanding.
 
@@ -558,6 +571,10 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
+        # No collection could free anything mid-run (module docstring), so
+        # the collector would only traverse live simulation state.
+        collecting = gc.isenabled()
+        gc.disable()
         wall_start = perf_counter()
         try:
             heap = self._heap
@@ -585,6 +602,8 @@ class Simulator:
             else:
                 self._run_general(until, max_events)
         finally:
+            if collecting:
+                gc.enable()
             self._running = False
             self._wall_seconds += perf_counter() - wall_start
             self.publish_metrics()

@@ -38,11 +38,14 @@ from typing import Any, Dict, List, Optional
 #: Bump on any change to the RunSummary schema *or* to the simulation
 #: model's observable behaviour — on-disk entries from older schemas are
 #: simply never looked up again.
-CACHE_SCHEMA = "v6"   # v6: merge-unit timers are armed once per session,
-                      # so CAIS summaries count their early fires in
-                      # ``events`` (v5: SimTask grew the fleet replica
-                      # field and RunSummary the per-request stats rows;
-                      # v4: ServingSpec grew resilience fields)
+CACHE_SCHEMA = "v7"   # v7: a serving run ends when its last request
+                      # finishes, so faulted and admission-gated serving
+                      # makespans moved (v6: merge-unit timers are armed
+                      # once per session, so CAIS summaries count their
+                      # early fires in ``events``; v5: SimTask grew the
+                      # fleet replica field and RunSummary the
+                      # per-request stats rows; v4: ServingSpec grew
+                      # resilience fields)
 
 
 def canonical(value: Any) -> Any:

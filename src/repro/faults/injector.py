@@ -95,6 +95,12 @@ class FaultState:
         self.planes_failed: Set[int] = set()
         self._degradation_listeners: List[Callable[[], None]] = []
 
+    def unwire(self) -> None:
+        """Forget the NVLS-fault and degradation listeners (the run is
+        over); they are bound to the components holding this state."""
+        self._nvls_listeners.clear()
+        self._degradation_listeners.clear()
+
     def on_nvls_fault(self, callback: Callable[[], None]) -> None:
         """Register for notification when an NVLS compute unit dies."""
         self._nvls_listeners.append(callback)
@@ -139,7 +145,7 @@ class FaultInjector:
 
     def __init__(self, harness, state: FaultState,
                  schedule: FaultSchedule) -> None:
-        self.harness = harness
+        self._gpus = harness.executor.gpus
         self.state = state
         self.schedule = schedule
         self.sim = harness.sim
@@ -266,7 +272,7 @@ class FaultInjector:
                 ev, span, lambda: gpu.set_sm_throttle(1.0))
 
     def _gpu(self, target: str):
-        return self.harness.executor.gpus[int(target.split(":")[1])]
+        return self._gpus[int(target.split(":")[1])]
 
     def _fail_engines(self, switch, compute_only: bool) -> None:
         """Fail the switch's engines via their ``fail(switch)`` hook.

@@ -338,13 +338,14 @@ class Executor:
           merged heap; per-GPU busy integrals accrue at each completion
           with the event path's exact ``occupied * dt`` terms.
 
-        One real event is scheduled at the computed end time to apply the
-        state deltas and fire the kernel-completion callbacks.  It is
-        queued at launch, ahead of any event queued later for the same
-        instant, while the event path's last TB completion is queued at
-        that instant, behind them.  So when it fires with another event
-        still queued for its instant, it re-queues itself there under a
-        fresh sequence number, until none is left.
+        One real event (:meth:`_finish_fastpath`) is scheduled at the
+        computed end time to apply the state deltas and fire the
+        kernel-completion callbacks.  It is queued at launch, ahead of any
+        event queued later for the same instant, while the event path's
+        last TB completion is queued at that instant, behind them.  So
+        when it fires with another event still queued for its instant, it
+        re-queues itself there under a fresh sequence number, until none
+        is left.
         """
         sim = self.sim
         now = sim.now
@@ -468,25 +469,33 @@ class Executor:
         self._fp_inflight += 1
         self.fastpath_kernels += 1
         self.fastpath_kernel_events_elided += num_gpus + 2 * total - 1
+        sim.schedule_at(t_end, self._finish_fastpath, kernel, t_end,
+                        integral, since, dispatched, total_compute)
 
-        def finish() -> None:
-            if sim.next_time() == t_end:
-                # Defer behind same-instant events; one more event fired.
-                self.fastpath_kernel_events_elided -= 1
-                sim.schedule_at(t_end, finish)
-                return
-            self._fp_inflight -= 1
-            for g, gpu in enumerate(self.gpus):
-                gpu._busy_integral_ns = integral[g]
-                gpu._busy_since = since[g]
-                gpu.tbs_dispatched += dispatched[g]
-            self.total_compute_ns = total_compute
-            self.tbs_completed += total
-            self._kernel_remaining[kernel.kernel_id] = 0
-            for cb in self._kernel_done_cbs.pop(kernel.kernel_id, []):
-                cb()
-
-        sim.schedule_at(t_end, finish)
+    def _finish_fastpath(self, kernel: KernelInstance, t_end: float,
+                         integral: List[float], since: List[float],
+                         dispatched: List[int],
+                         total_compute: float) -> None:
+        """Completion event of a replayed kernel: apply the replay's state
+        and fire the kernel's completion callbacks — or, while another
+        event is queued for ``t_end``, re-queue behind it."""
+        sim = self.sim
+        if sim.next_time() == t_end:
+            # Defer behind same-instant events; one more event fired.
+            self.fastpath_kernel_events_elided -= 1
+            sim.schedule_at(t_end, self._finish_fastpath, kernel, t_end,
+                            integral, since, dispatched, total_compute)
+            return
+        self._fp_inflight -= 1
+        for g, gpu in enumerate(self.gpus):
+            gpu._busy_integral_ns = integral[g]
+            gpu._busy_since = since[g]
+            gpu.tbs_dispatched += dispatched[g]
+        self.total_compute_ns = total_compute
+        self.tbs_completed += kernel.num_blocks() * len(self.gpus)
+        self._kernel_remaining[kernel.kernel_id] = 0
+        for cb in self._kernel_done_cbs.pop(kernel.kernel_id, []):
+            cb()
 
     def _enqueue_on_gpu(self, kernel: KernelInstance, gpu: Gpu) -> None:
         order = (kernel.block_order if kernel.block_order is not None

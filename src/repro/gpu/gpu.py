@@ -14,6 +14,7 @@ stores, gathers).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..cais.coordination import SyncPhase
@@ -23,7 +24,8 @@ from ..common.events import Simulator
 from ..interconnect.message import Message
 from ..interconnect.network import Network
 from .memory import MemoryController
-from .scheduler import DispatchPolicy, FifoPolicy, effective_capacity
+from .scheduler import (DispatchPolicy, FairSharePolicy, FifoPolicy,
+                        effective_capacity)
 from .synchronizer import Synchronizer
 from .threadblock import ThreadBlock, TBState
 
@@ -47,8 +49,11 @@ class Gpu:
         self.spec = spec
         self.network = network
         self.policy = policy or FifoPolicy()
-        self.memory = MemoryController(sim, index, spec, send=self.send,
-                                       local_value_fn=local_value_fn)
+        # Sends straight into the fabric, not through this GPU, so the
+        # controller holds no reference back to it.
+        self.memory = MemoryController(
+            sim, index, spec, send=partial(network.send_from_gpu, index),
+            local_value_fn=local_value_fn)
         self.synchronizer = Synchronizer(network, index,
                                          throttle_window=throttle_window)
         total = spec.num_sms * spec.tb_slots_per_sm
@@ -79,6 +84,15 @@ class Gpu:
         self._busy_integral_ns = 0.0
         self._busy_since = 0.0
         network.register_gpu(index, self.receive)
+
+    def unwire(self) -> None:
+        """Drop the callbacks the executor and the collective drivers
+        wired in, and the fair-share policy's reference back to this GPU,
+        so that a finished node is freed by reference counting."""
+        self.handlers.clear()
+        self.on_dispatch = None
+        if isinstance(self.policy, FairSharePolicy):
+            self.policy.gpu = None
 
     # ------------------------------------------------------------------
     # Slot pools

@@ -335,6 +335,16 @@ class Link:
             self._start_next()
         self._admit_waiters()
 
+    def unwire(self) -> None:
+        """Drop the callbacks wired in at build time — the receiver, the
+        fused hop, the fault hook and the link's own bound callbacks —
+        so that a finished node is freed by reference counting.  The
+        bandwidth tracker stays readable; sending raises."""
+        self.deliver = None
+        self._fused_hop = None
+        self._fault_hook = None
+        self._serialized_cb = self._deliver_cb = self._deliver_fused_cb = None
+
     # ------------------------------------------------------------------
     # Quiescence
     # ------------------------------------------------------------------

@@ -107,6 +107,14 @@ class Network:
             receiver(msg)
         return deliver
 
+    def unwire(self) -> None:
+        """Disconnect the fabric from its endpoints once the run is over:
+        every link drops its callbacks and the GPU receivers are
+        forgotten.  Link trackers and counters stay readable."""
+        for link in self.all_links():
+            link.unwire()
+        self._gpu_receivers.clear()
+
     def register_gpu(self, gpu_index: int,
                      receiver: Callable[[Message], None]) -> None:
         """Attach the endpoint that consumes messages delivered to a GPU."""

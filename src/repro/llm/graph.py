@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import WorkloadError
@@ -206,72 +207,91 @@ class GraphRunner:
     def run_graph(self, graph: Graph,
                   on_done: Optional[Callable[[], None]] = None) -> None:
         """Wire the whole graph; completion fires ``on_done``."""
-        plan = self._plan(graph)
-        order = graph.topo_order()
-        waiting = {op.name: len(op.deps) for op in order}
-        done = set()
-        # start() frames on the stack: an op completing synchronously
-        # re-enters finish() below an unfinished start loop, in which case
-        # a nested start is NOT the frame's only activity.
-        depth = 0
-        cz = self._cz
-        sim = self.harness.sim
-
-        def finish(name: str) -> None:
-            if name in done:
-                raise WorkloadError(f"op {name} finished twice")
-            if cz.enabled:
-                # Op boundary: consumers started below are caused by this
-                # completion (the kernel's last TB or the collective's
-                # last chunk, carried in as the ambient cause).
-                now = sim.now
-                cz.current = cz.node(BARRIER_SYNC, now, now,
-                                     f"op {name} done",
-                                     parents=((cz.current, "dep"),))
-            done.add(name)
-            if len(done) == len(order):
-                if on_done is not None:
-                    on_done()
-                return
-            ready = []
-            for consumer in graph.consumers_of(name):
-                waiting[consumer.name] -= 1
-                if waiting[consumer.name] == 0:
-                    ready.append(consumer)
-            # Parallel branches (e.g. dgrad + wgrad) run concurrently, so
-            # neither may claim to be the only activity; nor may an op
-            # started while queued events are still in flight.
-            solo = len(ready) == 1 and depth == 0 and not sim.pending()
-            for consumer in ready:
-                start(consumer, solo)
-
-        def start(op: LogicalOp, solo: bool) -> None:
-            nonlocal depth
-            depth += 1
-            try:
-                self._start(graph, plan, op, finish, solo)
-            finally:
-                depth -= 1
-
-        roots = [op for op in order if waiting[op.name] == 0]
-        solo = len(roots) == 1 and not sim.pending()
-        for op in roots:
-            start(op, solo)
+        _Walk(self, graph, on_done).run()
 
     def run_graphs(self, graphs: List[Graph],
                    on_done: Optional[Callable[[], None]] = None) -> None:
         """Run graphs strictly in sequence (e.g. forward then backward)."""
         if not graphs:
             raise WorkloadError("no graphs to run")
+        self._run_from(graphs, 0, on_done)
 
-        def chain(index: int) -> None:
-            if index == len(graphs):
-                if on_done is not None:
-                    on_done()
-                return
-            self.run_graph(graphs[index], on_done=lambda: chain(index + 1))
+    def _run_from(self, graphs: List[Graph], index: int,
+                  on_done: Optional[Callable[[], None]]) -> None:
+        if index == len(graphs):
+            if on_done is not None:
+                on_done()
+            return
+        self.run_graph(graphs[index], on_done=partial(
+            self._run_from, graphs, index + 1, on_done))
 
-        chain(0)
+
+class _Walk:
+    """One :meth:`GraphRunner.run_graph` call in progress.
+
+    An object, not a pair of closures: ``start`` hands ``finish`` to the
+    runner and ``finish`` calls ``start``, and closures referring to each
+    other would outlive the walk as a reference cycle.
+    """
+
+    def __init__(self, runner: GraphRunner, graph: Graph,
+                 on_done: Optional[Callable[[], None]]) -> None:
+        self.runner = runner
+        self.graph = graph
+        self.plan = runner._plan(graph)
+        self.order = graph.topo_order()
+        self.waiting = {op.name: len(op.deps) for op in self.order}
+        self.done = set()
+        self.on_done = on_done
+        # start() frames on the stack: an op completing synchronously
+        # re-enters finish() below an unfinished start loop, in which case
+        # a nested start is NOT the frame's only activity.
+        self.depth = 0
+
+    def run(self) -> None:
+        roots = [op for op in self.order if self.waiting[op.name] == 0]
+        solo = len(roots) == 1 and not self.runner.harness.sim.pending()
+        for op in roots:
+            self.start(op, solo)
+
+    def finish(self, name: str) -> None:
+        done = self.done
+        if name in done:
+            raise WorkloadError(f"op {name} finished twice")
+        cz = self.runner._cz
+        sim = self.runner.harness.sim
+        if cz.enabled:
+            # Op boundary: consumers started below are caused by this
+            # completion (the kernel's last TB or the collective's
+            # last chunk, carried in as the ambient cause).
+            now = sim.now
+            cz.current = cz.node(BARRIER_SYNC, now, now,
+                                 f"op {name} done",
+                                 parents=((cz.current, "dep"),))
+        done.add(name)
+        if len(done) == len(self.order):
+            if self.on_done is not None:
+                self.on_done()
+            return
+        ready = []
+        waiting = self.waiting
+        for consumer in self.graph.consumers_of(name):
+            waiting[consumer.name] -= 1
+            if waiting[consumer.name] == 0:
+                ready.append(consumer)
+        # Parallel branches (e.g. dgrad + wgrad) run concurrently, so
+        # neither may claim to be the only activity; nor may an op
+        # started while queued events are still in flight.
+        solo = len(ready) == 1 and self.depth == 0 and not sim.pending()
+        for consumer in ready:
+            self.start(consumer, solo)
+
+    def start(self, op: LogicalOp, solo: bool) -> None:
+        self.depth += 1
+        try:
+            self.runner._start(self.graph, self.plan, op, self.finish, solo)
+        finally:
+            self.depth -= 1
 
 
 def _tiling():

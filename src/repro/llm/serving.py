@@ -858,13 +858,20 @@ def simulate_serving(system, spec: ServingSpec,
         now = sim.now
         plan = batcher.plan_iteration(now)
         if not plan:
+            if batcher.all_done():
+                # The stream is served: stand the fault machinery down at
+                # this instant, as Session.run does, so the makespan is
+                # the last request's finish and not a later fault timer's
+                # or admission wake's.
+                session.harness.workload_complete()
+                return
             # Wake at the next arrival or — when admission gated us with
             # nothing running — at the gate's next possible state change.
             wakes = [t for t in (batcher.next_arrival_ns(),
                                  batcher.admission_wake_ns(now))
                      if t is not None]
             if not wakes:
-                return                       # all requests finished
+                return          # stranded requests: reported after the run
             sim.schedule(max(min(wakes) - now, 0.0), step)
             return
         state["iterations"] += 1
@@ -929,6 +936,10 @@ def simulate_serving(system, spec: ServingSpec,
 
     sim.schedule(0.0, step)
     sim.run()
+    # step() re-queues itself and every iteration calls it back: drop the
+    # closure's reference to itself, which would otherwise outlive the run
+    # as a reference cycle.
+    del step
     if not batcher.all_done():
         raise SimulationError(
             f"{system.name}: serving run drained with "

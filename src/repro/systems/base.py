@@ -195,6 +195,25 @@ class Harness:
         if self.fault_injector is not None:
             self.fault_injector.quiesce()
 
+    def _unwire(self) -> None:
+        """Cut the build-time wiring once the result is rendered.
+
+        Components hold callbacks into each other (link receivers, GPU
+        handlers, work reporters, fault listeners), which ties a node
+        into reference cycles.  :meth:`Simulator.run` pauses the cyclic
+        collector, so a finished node must instead be freed by reference
+        counting; each component drops the references it owns.  The
+        result keeps the network's trackers, the timeline and the merge
+        stats, and the node can run no further.
+        """
+        self.sim.unwire()
+        self.network.unwire()
+        for gpu in self.executor.gpus:
+            gpu.unwire()
+        self.fastpath_comms.clear()
+        if self.fault_state is not None:
+            self.fault_state.unwire()
+
     def _links_outstanding(self) -> str:
         queued = sum(link.queue_depth() for link in self.network.all_links())
         down = sum(1 for link in self.network.all_links() if link.is_down)
@@ -294,6 +313,7 @@ class Harness:
         if ts.enabled and tracer.enabled:
             annotate_windows(tracer, ts, makespan)
         reqlog = current_request_log()
+        self._unwire()
         return RunResult(system=system, makespan_ns=makespan,
                          compute_ns=self.executor.total_compute_ns,
                          tbs_completed=self.executor.tbs_completed,

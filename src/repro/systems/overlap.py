@@ -25,7 +25,8 @@ Layer 4); the collective slices always take the event path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import WorkloadError
 from ..gpu.kernels import KernelInstance
@@ -92,42 +93,64 @@ class OverlapRunner(BarrierRunner):
         tile = self.tiling.tile
         partitions = min(self.partitions, max(1, ceil_div(shape.m, tile)))
         rows = ceil_div(ceil_div(shape.m, tile), partitions)
-        grid = (rows, ceil_div(shape.n, tile))
         k = self.harness.config.num_gpus
         per_slice = (comm_op.comm_bytes // partitions) // k * k
         slices = [per_slice] * (partitions - 1)
         slices.append(comm_op.comm_bytes - per_slice * (partitions - 1))
-        state = {"kernels": partitions, "comms": partitions}
+        _Pipeline(self, gemm_op, comm_op, slices,
+                  grid=(rows, ceil_div(shape.n, tile)),
+                  tb_ns=self.compute_kernel(gemm_op).tb_pre_ns,
+                  finish=finish, solo=solo).launch(0)
 
-        def kernel_done(index: int) -> None:
-            self.comm.run(comm_op.comm, slices[index],
-                          lambda: comm_done())
-            state["kernels"] -= 1
-            if state["kernels"] == 0:
-                finish(gemm_op.name)
 
-        def comm_done() -> None:
-            state["comms"] -= 1
-            if state["comms"] == 0:
-                finish(comm_name)
+class _Pipeline:
+    """One pipelined GEMM in progress: its row partitions run in sequence,
+    and each partition's completion starts that partition's slice of the
+    collective.
 
-        tb_ns = self.compute_kernel(gemm_op).tb_pre_ns
+    An object, not closures: a partition's completion launches the next
+    partition, and a closure that refers to itself would outlive the
+    pipeline as a reference cycle.
+    """
 
-        def launch_partition(index: int) -> None:
-            # Partitions run strictly in sequence: partition i's collective
-            # slice overlaps partition i+1's compute (the software
-            # pipeline); launching them all at once would finish them all
-            # at once and serialize every collective at the end.
-            kernel = KernelInstance(
-                name=f"{gemm_op.name}.p{index}", grid=grid, tb_pre_ns=tb_ns,
-                launch_overhead_ns=self.launch_overhead_ns)
+    def __init__(self, runner: OverlapRunner, gemm_op: LogicalOp,
+                 comm_op: LogicalOp, slices: List[int],
+                 grid: Tuple[int, int], tb_ns: float,
+                 finish: Callable[[str], None], solo: bool) -> None:
+        self.runner = runner
+        self.gemm_op = gemm_op
+        self.comm_op = comm_op
+        self.slices = slices
+        self.grid = grid
+        self.tb_ns = tb_ns
+        self.finish = finish
+        self.solo = solo
+        self.kernels_left = self.comms_left = len(slices)
 
-            def done(i=index) -> None:
-                kernel_done(i)
-                if i + 1 < partitions:
-                    launch_partition(i + 1)
+    def launch(self, index: int) -> None:
+        # Partitions run strictly in sequence: partition i's collective
+        # slice overlaps partition i+1's compute (the software pipeline);
+        # launching them all at once would finish them all at once and
+        # serialize every collective at the end.
+        runner = self.runner
+        kernel = KernelInstance(
+            name=f"{self.gemm_op.name}.p{index}", grid=self.grid,
+            tb_pre_ns=self.tb_ns,
+            launch_overhead_ns=runner.launch_overhead_ns)
+        runner.harness.executor.launch_kernel(
+            kernel, on_complete=partial(self._partition_done, index),
+            isolated=self.solo)
 
-            self.harness.executor.launch_kernel(kernel, on_complete=done,
-                                                isolated=solo)
+    def _partition_done(self, index: int) -> None:
+        self.runner.comm.run(self.comm_op.comm, self.slices[index],
+                             self._slice_done)
+        self.kernels_left -= 1
+        if self.kernels_left == 0:
+            self.finish(self.gemm_op.name)
+        if index + 1 < len(self.slices):
+            self.launch(index + 1)
 
-        launch_partition(0)
+    def _slice_done(self) -> None:
+        self.comms_left -= 1
+        if self.comms_left == 0:
+            self.finish(self.comm_op.name)

@@ -11,7 +11,11 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import FaultSpec, JitterSpec, dgx_h100_config
-from repro.llm.models import LLAMA_7B
+from repro.experiments import fig20_serving, fig21_faulted_serving
+from repro.experiments.fig19_resilience import fault_spec_for
+from repro.experiments.runner import QUICK
+from repro.llm.models import LLAMA_7B, by_name
+from repro.llm.serving import generate_requests, simulate_serving
 from repro.llm.tiling import TilingConfig
 from repro.llm.tp import sublayer_graph
 from repro.systems import make_system
@@ -142,3 +146,23 @@ def test_nvls_unit_failure_falls_back_to_ring():
     assert res.details["faults.nvls_unit_failures"] == base_cfg.num_switches
     assert res.details["faults.nvls_fallbacks"] > 0
     assert res.makespan_ns > base.makespan_ns   # ring is the slow path
+
+
+@pytest.mark.parametrize("stream", ["fig20", "fig21"])
+def test_faulted_serving_ends_with_its_last_request(stream):
+    """The serving loop quiesces the fault machinery when its last request
+    finishes, so the makespan is that request's finish.  On the fig20
+    stream the watchdog used to trip after the stream had completed
+    (``DeadlockError``, finished=2); on the fig21 stream (shed admission)
+    the run went on to the next fault timer."""
+    spec_for = (fig20_serving.spec_for if stream == "fig20"
+                else fig21_faulted_serving.spec_for)
+    spec = spec_for(QUICK, 2026)
+    cfg = dgx_h100_config(seed=2026).with_faults(fault_spec_for(1.0, 0))
+    system = make_system("TP-NVLS", cfg, tiling=QUICK.tiling,
+                         chunk_bytes=QUICK.coll_chunk_bytes)
+    res = simulate_serving(system, spec, model=by_name(spec.model),
+                           style="basic",
+                           requests=generate_requests(spec)[:2])
+    assert len(res.stats) == 2
+    assert res.run.makespan_ns == max(s.finish_ns for s in res.stats)

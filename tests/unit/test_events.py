@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
 from repro.common.events import Simulator
@@ -124,6 +126,54 @@ def test_run_is_not_reentrant():
     sim.schedule(1.0, recurse)
     with pytest.raises(SimulationError):
         sim.run()
+
+
+#: run() arguments selecting the fused loop and the general loop.
+RUN_LOOPS = {"fused": {}, "general": {"until": 10.0}}
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the cyclic collector's setting after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("loop", sorted(RUN_LOOPS))
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_cyclic_collector(loop, enabled, collector_state):
+    """Callbacks run with the collector paused, and run() hands the
+    caller's setting back, also when the caller had it off."""
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    sim.schedule(2.0, lambda: seen.append(gc.isenabled()))
+    sim.run(**RUN_LOOPS[loop])
+    assert seen == [False, False]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("loop", sorted(RUN_LOOPS))
+def test_run_restores_the_collector_when_a_callback_raises(
+        loop, collector_state):
+    gc.enable()
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(RuntimeError):
+        sim.run(**RUN_LOOPS[loop])
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "calendar"])

@@ -18,18 +18,13 @@ replay protocol:
    the calibrated duration to *exact float equality* (``t0 + duration ==
    observed completion``) and identical id/traffic deltas, or the
    signature is blacklisted back to the event path forever.  Passing
-   validation at different absolute start times is direct evidence that
-   the phase's float arithmetic is translation-invariant for this
-   signature.
+   validation at a second start time is evidence, not proof, that the
+   phase's float arithmetic is translation-invariant for this signature:
+   a replay can still land one ULP off the event path (DESIGN.md §11).
 3. **Replay** — later occurrences skip event-level simulation: one
    completion event fires at ``t0 + duration``, and the captured deltas
    are applied (link trackers, message/run-id streams), leaving
    downstream state where the event path would have left it.
-
-A closed-form estimate of the uncongested phase (:func:`phase_estimate`)
-cross-checks every calibration; a gross disagreement is counted as a
-diagnostic (the calibrated value still wins — it is exact by
-construction).
 
 The signature table is per-harness: each simulated node calibrates its
 own signatures, so a run's event count (and everything else about it) is
@@ -45,59 +40,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..common import fastpath
-from ..common.config import SystemConfig
-from ..interconnect.message import (FLIT_BYTES, PACKET_BYTES, _msg_ids)
-from ..llm.graph import CommKind
+from ..interconnect.message import _msg_ids
 from ..obs import current_causality, current_metrics, current_tracer
 from . import ring as _ring_mod
 from . import nvls_collectives as _nvls_mod
-
-
-# ---------------------------------------------------------------------------
-# Closed-form sanity model
-# ---------------------------------------------------------------------------
-
-def _wire_bytes(payload: int) -> int:
-    return payload + -(-payload // PACKET_BYTES) * FLIT_BYTES
-
-
-#: Serialized traffic per GPU, in units of the collective's shard size, for
-#: each (transport, kind): ring passes each shard around the ring (k-1)
-#: hops; NVLS pulls/pushes each shard across the fabric once.
-_ROUNDS = {
-    ("ring", CommKind.REDUCE_SCATTER): lambda k: k - 1,
-    ("ring", CommKind.ALL_GATHER): lambda k: k - 1,
-    ("ring", CommKind.ALL_REDUCE): lambda k: 2 * (k - 1),
-    ("nvls", CommKind.REDUCE_SCATTER): lambda k: 1,
-    ("nvls", CommKind.ALL_GATHER): lambda k: 1,
-    ("nvls", CommKind.ALL_REDUCE): lambda k: 2,
-}
-
-
-def phase_estimate(transport: str, kind: CommKind, nbytes: int,
-                   chunk_bytes: int, config: SystemConfig) -> float:
-    """Closed-form completion-time estimate of an uncongested phase (ns).
-
-    A pipelined bandwidth-server model: the phase's steady state is limited
-    by per-plane up-link serialization of the traffic each GPU must move,
-    plus a pipeline-fill term of one wire traversal (two link latencies and
-    a switch hop, plus one chunk serialization) per round.  This is a
-    sanity model (worth ~tens of percent), used only to cross-check the
-    exact calibrated duration — protocol details (pull windows, staging
-    barriers, credit turnarounds) are deliberately out of scope.
-    """
-    k = config.num_gpus
-    planes = config.num_switches
-    rounds = _ROUNDS[(transport, kind)](k)
-    shard = nbytes // k
-    chunk = min(chunk_bytes, shard) if shard else chunk_bytes
-    chunks_per_shard = -(-shard // chunk_bytes) if shard else 0
-    bw = config.link.bandwidth_gbps
-    serialization = rounds * chunks_per_shard * _wire_bytes(chunk) / bw / planes
-    fill = rounds * (2 * config.link.latency_ns
-                     + config.switch.hop_latency_ns
-                     + _wire_bytes(chunk) / bw)
-    return serialization + fill
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +72,6 @@ class _Signature:
     ring_delta: int = 0
     nvls_delta: int = 0
     events_delta: int = 0
-    analytic_rel_err: float = 0.0
 
 
 class CollectiveFastPath:
@@ -181,7 +126,6 @@ class CollectiveFastPath:
         self.calibrations = 0
         self.validations = 0
         self.blacklists = 0
-        self.analytic_disagreements = 0
         if self.enabled:
             harness.fastpath_comms.append(self)
 
@@ -200,7 +144,7 @@ class CollectiveFastPath:
         elif sig.state == _BYPASS:
             self._replay(sig, on_complete)
         else:
-            self._observe(sig_key, sig, kind, nbytes, on_complete)
+            self._observe(sig, kind, nbytes, on_complete)
 
     def _eligible(self, on_chunk) -> bool:
         return (self.enabled
@@ -210,7 +154,7 @@ class CollectiveFastPath:
                 and self.harness.network.quiescent())
 
     # -- Event-path observation (calibration + validation) -------------
-    def _observe(self, sig_key, sig: _Signature, kind, nbytes,
+    def _observe(self, sig: _Signature, kind, nbytes,
                  on_complete) -> None:
         harness = self.harness
         sim = harness.sim
@@ -235,16 +179,15 @@ class CollectiveFastPath:
                 return
             if sig.state == _CALIBRATING:
                 self._finish_calibration(
-                    sig, kind, nbytes, t0, links, marks, msg0, ring0,
-                    nvls0, events0)
+                    sig, t0, links, marks, msg0, ring0, nvls0, events0)
             elif sig.state == _VALIDATING:
                 self._finish_validation(sig, t0, msg0, ring0, nvls0)
             on_complete()
 
         self.comm.run(kind, nbytes, observed, None)
 
-    def _finish_calibration(self, sig, kind, nbytes, t0, links, marks,
-                            msg0, ring0, nvls0, events0) -> None:
+    def _finish_calibration(self, sig, t0, links, marks, msg0, ring0,
+                            nvls0, events0) -> None:
         sim = self.harness.sim
         sig.duration = sim.now - t0
         sig.msg_delta = _msg_ids.value - msg0
@@ -256,12 +199,6 @@ class CollectiveFastPath:
             delta = link.tracker.delta_since(mark, t0)
             if delta[0] or delta[1] or delta[2]:
                 sig.link_deltas.append((index, delta))
-        estimate = phase_estimate(self.transport, kind, nbytes,
-                                  self._chunk_bytes, self.harness.config)
-        if sig.duration > 0:
-            sig.analytic_rel_err = abs(estimate - sig.duration) / sig.duration
-            if sig.analytic_rel_err > 0.25:
-                self.analytic_disagreements += 1
         self.calibrations += 1
         sig.state = _VALIDATING
 

@@ -253,10 +253,6 @@ class SystemConfig:
         return replace(self, switch=replace(self.switch,
                                             merge_table_entries=entries))
 
-    def with_seed(self, seed: int) -> "SystemConfig":
-        """A copy with a different master RNG seed."""
-        return replace(self, seed=seed)
-
     def with_faults(self, faults: FaultSpec) -> "SystemConfig":
         """A copy with a different fault-injection spec."""
         return replace(self, faults=faults)

@@ -390,11 +390,6 @@ class Simulator:
         """High-water mark of the event queue."""
         return self._peak_queue_depth
 
-    @property
-    def wall_seconds(self) -> float:
-        """Cumulative wall-clock time spent inside :meth:`run`."""
-        return self._wall_seconds
-
     def events_per_wall_second(self) -> float:
         """Engine throughput so far (0 before the first :meth:`run`)."""
         if self._wall_seconds <= 0.0:

@@ -8,12 +8,18 @@ Four composable acceleration layers (see DESIGN.md §11), each of which is
   faster than the binary heap, whose push and pop the engine inlines.
   Fires events in exactly the same ``(time, seq)`` order as the heap, so
   enabling it never changes any output byte.
-* ``link_windows`` — batched serialization on uncontended FIFO links
-  (:mod:`repro.interconnect.link`).  Per-chunk timestamps are reproduced
-  exactly; only event *count* and same-instant interleaving differ.
-* ``analytic_collectives`` — closed-form/calibrated completion times for
-  uncongested collective phases (:mod:`repro.collectives.analytic`),
-  validated online against the event path on a deterministic sample of ops.
+* ``link_windows`` — the fused wire+switch hop
+  (:mod:`repro.interconnect.network`): an up link's serialization end
+  schedules one event straight to the switch's dispatch at arrival + hop,
+  instead of a delivery that schedules the hop.  The name is historical;
+  the batched serialization windows it once also enabled are gone.  Only
+  event *count* differs; the whole-run physics has matched the reference
+  on every cell tried.
+* ``analytic_collectives`` — calibrated completion times for uncongested
+  collective phases (:mod:`repro.collectives.analytic`), validated online
+  against the event path on a deterministic sample of ops.  The one
+  default layer not exact everywhere: replay can move a train-step
+  TP-NVLS makespan by one ULP.
 * ``analytic_kernels`` — exact arithmetic evaluation of isolated
   pure-compute kernel launches (:mod:`repro.gpu.executor`): the SM slot
   pipeline is replayed in a specialized loop drawing the *same* RNG values
@@ -47,7 +53,7 @@ class FastPathConfig:
 
     #: Use the calendar-queue scheduler instead of the binary heap.
     calendar_queue: bool = False
-    #: Collapse per-chunk serialization events on uncontended FIFO links.
+    #: Fuse each up link's delivery with its switch's fixed hop.
     link_windows: bool = True
     #: Bypass event-level simulation for validated uncongested collectives.
     analytic_collectives: bool = True
@@ -64,14 +70,16 @@ class FastPathConfig:
         """Stable fingerprint component for result caches.
 
         Calendar-queue choice is provably output-invariant so it is *not*
-        part of the token; the other layers change event interleaving
-        (windows) or skip simulation entirely (analytic), so cached
+        part of the token; the other layers change event counts (the
+        fused hop) or skip simulation entirely (analytic), so cached
         summaries must not be shared across those modes.  An enabled
         kernel layer reads ``-k2`` since it also replays software
         pipelines' GEMM partitions, which changed the event counts of
-        the overlap baselines' summaries.
+        the overlap baselines' summaries; an enabled ``link_windows``
+        reads ``w2`` since it no longer batches serialization windows,
+        which changed event counts and some baseline physics.
         """
-        return (f"fp:w{int(self.link_windows)}"
+        return (f"fp:w{2 if self.link_windows else 0}"
                 f"-a{int(self.analytic_collectives)}"
                 f"-k{2 if self.analytic_kernels else 0}"
                 f"-v{VALIDATE_OCCURRENCES}")

@@ -187,9 +187,6 @@ class Executor:
         for cb in self._token_waiters.pop(token, []):
             cb()
 
-    def is_signalled(self, token: Token) -> bool:
-        return token in self._tokens
-
     def when_all(self, tokens: Iterable[Token],
                  callback: Callable[[], None]) -> None:
         """Invoke ``callback`` once every token has been signalled."""

@@ -287,12 +287,6 @@ class Gpu:
             parts.append(f"{pending} sync-pending")
         return f"gpu {self.index}: " + ", ".join(parts)
 
-    def ready_count(self, pool: str = DEFAULT_POOL) -> int:
-        return len(self._ready.get(pool, []))
-
-    def busy_slots(self, pool: str = DEFAULT_POOL) -> int:
-        return self._used.get(pool, 0)
-
     # ------------------------------------------------------------------
     # Fabric endpoint
     # ------------------------------------------------------------------

@@ -189,8 +189,5 @@ class CrossbarSwitch:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def vc_occupancy(self, in_port: int, vc: int) -> int:
-        return len(self._vcs[in_port][vc])
-
     def idle(self) -> bool:
         return not self._has_work()

@@ -15,21 +15,12 @@ ablation (Section III-C, Figs. 15/16):
   indexed by VC number (``Op.vc``, resolved once per op in
   :mod:`.message`), so a send or a pick hashes no enum.
 
-Fast path (batched serialization windows)
------------------------------------------
-A FIFO link with no fault state is a *deterministic* bandwidth server: at
-``send()`` time the message's whole trajectory is already decided —
-``start = max(link_free, now)``, ``end = start + serialization`` — because
-no contending traffic class can reorder the queue and no fault can derate
-the rate mid-window.  When :mod:`repro.common.fastpath` enables
-``link_windows`` the link exploits this: it keeps a running window-end
-cursor instead of a queue, performs all per-chunk accounting (bandwidth
-tracker, metrics, queue-delay samples) immediately with the *exact* same
-timestamps the event path would produce, and schedules only the delivery —
-eliding the per-chunk end-of-serialization events that dominate the event
-population.  Legality conditions and the demotion protocol are described in
-DESIGN.md §11; round-robin (traffic-control) links and links with any fault
-state always use the reference event path.
+Every message takes one send path: queue, serialization-end event, then
+delivery.  An up link into a switch may have its delivery fused with the
+switch's fixed hop (``_fused_hop``, wired by the Network when
+:mod:`repro.common.fastpath` enables ``link_windows``): the serialization
+end then schedules one event straight to the switch's dispatch at
+arrival + hop instead of a delivery that schedules the hop (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -47,18 +38,10 @@ from .message import VC_ORDER, Message, TrafficClass
 
 
 class Link:
-    """One direction of a GPU<->switch NVLink connection.
-
-    ``fastpath_windows=True`` opts the link into the batched-window fast
-    path (see module docstring); it silently stays on the reference event
-    path when tracing or causal recording is active (their outputs are
-    sensitive to event interleaving) and demotes itself permanently the
-    moment any fault state appears.
-    """
+    """One direction of a GPU<->switch NVLink connection."""
 
     def __init__(self, sim: Simulator, spec: LinkSpec, name: str,
-                 traffic_control: bool = False,
-                 fastpath_windows: bool = False):
+                 traffic_control: bool = False):
         self.sim = sim
         self.spec = spec
         self.name = name
@@ -74,11 +57,13 @@ class Link:
         self._busy = False
         self.peak_queue_depth = 0
         # Fault-injection state (repro.faults): bandwidth derating, transient
-        # outage, and a per-message drop/corrupt hook.  Defaults leave the
-        # fault-free fast path bit-identical (factor 1.0 multiplies exactly).
+        # outage, and a per-message drop/corrupt hook.  Defaults leave
+        # fault-free runs bit-identical (factor 1.0 multiplies exactly).
         self._bw_factor = 1.0
         self._down = False
-        self._fault_hook: Optional[Callable[[Message], bool]] = None
+        #: Per-message drop/corrupt hook: returns True to drop the message
+        #: on the wire, or marks it corrupted in place.
+        self.fault_hook: Optional[Callable[[Message], bool]] = None
         # Backpressure waiters: (traffic class, threshold, callback).
         self._room_waiters: Deque = deque()
         #: Deliveries scheduled but not yet consumed (wire in flight);
@@ -95,7 +80,6 @@ class Link:
             self._c_msgs = self._mx.counter("link.messages")
             self._c_bytes = self._mx.counter("link.bytes")
             self._g_qdepth = self._mx.gauge("link.peak_queue_depth")
-            self._c_fp_windows = self._mx.counter("sim.fastpath.link_windows")
             self._c_fp_elided = self._mx.counter("sim.fastpath.events_elided")
         # msg id -> enqueue time, for queueing-delay accounting; entries
         # live only while the message sits in a queue, so ids are stable.
@@ -116,16 +100,8 @@ class Link:
         self._serialized_cb = self._on_serialized
         self._deliver_cb = self._deliver_event
         self._deliver_fused_cb = self._deliver_fused
-        # Batched-window fast-path state.
-        self._lazy = (fastpath_windows and not traffic_control
-                      and not self._tr.enabled and not self._cz.enabled)
-        self._free_at = 0.0             # window-end cursor
-        self._pending_starts: Deque[float] = deque()
-        self._boundary_armed = False
-        #: Fast-path accounting (always-on plain ints, aggregated by the
+        #: Switch hops elided by the fused delivery (aggregated by the
         #: harness into engine-throughput observability).
-        self.fastpath_windows_opened = 0
-        self.fastpath_messages = 0
         self.fastpath_events_elided = 0
 
     # ------------------------------------------------------------------
@@ -133,9 +109,6 @@ class Link:
     # ------------------------------------------------------------------
     def send(self, msg: Message) -> None:
         """Enqueue ``msg`` for transmission."""
-        if self._lazy:
-            self._send_lazy(msg)
-            return
         if self.deliver is None:
             raise SimulationError(f"link {self.name} is not wired")
         self._queues[msg.op.vc if self.traffic_control else 0].append(msg)
@@ -155,73 +128,8 @@ class Link:
         if not self._busy:
             self._start_next()
 
-    def _send_lazy(self, msg: Message) -> None:
-        """Fast path: commit the message's serialization window now.
-
-        Produces the exact per-chunk timestamps of the event path — the
-        window start is the event path's serialization-start instant, the
-        end is ``start + wire_bytes/bandwidth`` with identical float
-        arithmetic — but schedules only the delivery event.
-        """
-        if self.deliver is None:
-            raise SimulationError(f"link {self.name} is not wired")
-        sim = self.sim
-        now = sim.now
-        wire = msg.wire_bytes()
-        serialization = wire / self.spec.bandwidth_gbps
-        start = self._free_at
-        if start <= now:
-            start = now
-            self.fastpath_windows_opened += 1
-            if self._mx.enabled:
-                self._c_fp_windows.inc()
-        end = start + serialization
-        self._free_at = end
-        self.tracker.record(start, end, wire)
-        # Queue-depth accounting mirrors the event path: the new message
-        # counts at send time (even when it starts immediately), waiting
-        # messages are those whose window hasn't opened yet.
-        pending = self._pending_starts
-        while pending and pending[0] <= now:
-            pending.popleft()
-        depth = len(pending) + 1
-        if depth > self.peak_queue_depth:
-            self.peak_queue_depth = depth
-        if start > now:
-            pending.append(start)
-        if self._mx.enabled:
-            # Same values in the same (FIFO = send) order as the event
-            # path records them at each service start.
-            self._h_qdelay.record(start - now)
-            self._c_msgs.inc()
-            self._c_bytes.inc(wire)
-            self._g_qdepth.set(self.peak_queue_depth)
-            self._c_fp_elided.inc()
-        self.fastpath_messages += 1
-        self.fastpath_events_elided += 1
-        self.inflight_deliveries += 1
-        # Delivery at end + latency, with the event path's association
-        # order: (start + ser) computed first, then + latency [, then
-        # + hop].  One event instead of two (or three when fused).
-        fused = self._fused_hop
-        if fused is not None:
-            self.fastpath_events_elided += 1
-            if self._mx.enabled:
-                self._c_fp_elided.inc()
-            arrival = end + self.spec.latency_ns
-            sim.schedule_at(arrival + fused[2], self._deliver_fused_cb, msg)
-        else:
-            sim.schedule_at(end + self.spec.latency_ns,
-                            self._deliver_cb, msg)
-
     def queue_depth(self, traffic_class: Optional[TrafficClass] = None) -> int:
         """Messages currently waiting (not including the one serializing)."""
-        if self._lazy:
-            pending = self._pending_starts
-            now = self.sim.now
-            while pending and pending[0] <= now:
-                pending.popleft()
-            return len(pending)
         if traffic_class is not None and self.traffic_control:
             return len(self._queues[traffic_class.vc])
         return self._depth
@@ -243,8 +151,6 @@ class Link:
             callback()
         else:
             self._room_waiters.append((traffic_class, limit, callback))
-            if self._lazy:
-                self._arm_boundary()
 
     def _admit_waiters(self) -> None:
         while self._room_waiters:
@@ -253,24 +159,6 @@ class Link:
                 return
             self._room_waiters.popleft()
             callback()
-
-    def _arm_boundary(self) -> None:
-        """Schedule a waiter re-check at the next window-open instant.
-
-        Window opens are exactly the instants the event path pops the next
-        message off the queue (end of the previous serialization), so
-        admission times match the event path.
-        """
-        if self._boundary_armed or not self._pending_starts:
-            return
-        self._boundary_armed = True
-        self.sim.schedule_at(self._pending_starts[0], self._on_boundary)
-
-    def _on_boundary(self) -> None:
-        self._boundary_armed = False
-        self._admit_waiters()
-        if self._room_waiters:
-            self._arm_boundary()
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -281,7 +169,6 @@ class Link:
             raise SimulationError(
                 f"link {self.name}: bandwidth factor must be > 0, "
                 f"got {factor}")
-        self._demote()
         self._bw_factor = factor
 
     def set_down(self, down: bool) -> None:
@@ -290,50 +177,13 @@ class Link:
         A message already serializing finishes (committed flits drain) but
         nothing new starts; queued traffic resumes when the link comes up.
         """
-        self._demote()
         self._down = down
         if not down and not self._busy:
             self._start_next()
 
     @property
-    def fault_hook(self) -> Optional[Callable[[Message], bool]]:
-        """Per-message drop/corrupt hook; installing one demotes the link
-        off the batched-window fast path (windows cannot be unwound)."""
-        return self._fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook: Optional[Callable[[Message], bool]]) -> None:
-        if hook is not None:
-            self._demote()
-        self._fault_hook = hook
-
-    @property
     def is_down(self) -> bool:
         return self._down
-
-    def _demote(self) -> None:
-        """Leave the batched-window fast path permanently.
-
-        Windows already committed (delivery events scheduled) drain at
-        their committed times — the fast path is only ever enabled for
-        fault-free harnesses, so demotion mid-traffic can only happen via
-        direct API use; the link stays busy until the committed cursor
-        passes and the event path takes over from there.
-        """
-        if not self._lazy:
-            return
-        self._lazy = False
-        self._pending_starts.clear()
-        self._boundary_armed = False
-        if self._free_at > self.sim.now:
-            self._busy = True
-            self.sim.schedule_at(self._free_at, self._drain_committed)
-
-    def _drain_committed(self) -> None:
-        self._busy = False
-        if not self._down:
-            self._start_next()
-        self._admit_waiters()
 
     def unwire(self) -> None:
         """Drop the callbacks wired in at build time — the receiver, the
@@ -342,7 +192,7 @@ class Link:
         bandwidth tracker stays readable; sending raises."""
         self.deliver = None
         self._fused_hop = None
-        self._fault_hook = None
+        self.fault_hook = None
         self._serialized_cb = self._deliver_cb = self._deliver_fused_cb = None
 
     # ------------------------------------------------------------------
@@ -350,11 +200,8 @@ class Link:
     # ------------------------------------------------------------------
     def idle(self) -> bool:
         """No message queued, serializing, or on the wire."""
-        if self.inflight_deliveries:
-            return False
-        if self._lazy:
-            return self._free_at <= self.sim.now
-        return not self._busy and not self._depth
+        return (not self.inflight_deliveries and not self._busy
+                and not self._depth)
 
     # ------------------------------------------------------------------
     # Internals
@@ -426,7 +273,7 @@ class Link:
             self._cz.current = self._cz_tx
         # The fault hook may drop the message on the wire (True) or mark it
         # corrupted in place; either way link-level bandwidth was consumed.
-        if self._fault_hook is None or not self._fault_hook(msg):
+        if self.fault_hook is None or not self.fault_hook(msg):
             fused = self._fused_hop
             self.inflight_deliveries += 1
             if fused is not None:

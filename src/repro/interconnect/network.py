@@ -35,11 +35,11 @@ from .switch import Switch
 class Network:
     """All links and switches of one multi-GPU node.
 
-    ``allow_fastpath`` opts the fabric into the batched-link-window layer
-    (:mod:`repro.common.fastpath`): harnesses pass False when fault
-    injection is configured, since committed serialization windows cannot
-    be unwound by a mid-window fault.  The layer additionally stands down
-    by itself when tracing or causal recording is active (their outputs
+    ``allow_fastpath`` opts the fabric into the ``link_windows`` layer
+    (:mod:`repro.common.fastpath`), which fuses each up link's delivery
+    with its switch's fixed hop: harnesses pass False when fault
+    injection is configured.  The layer additionally stands down by
+    itself when tracing or causal recording is active (their outputs
     depend on event interleaving) or when the global config disables it.
     """
 
@@ -49,10 +49,9 @@ class Network:
         self.sim = sim
         self.config = config
         self.traffic_control = traffic_control
-        self.fastpath_windows = (
-            allow_fastpath and fastpath.config().link_windows
-            and not current_tracer().enabled
-            and not current_causality().enabled)
+        fuse = (allow_fastpath and fastpath.config().link_windows
+                and not current_tracer().enabled
+                and not current_causality().enabled)
         self.switches: List[Switch] = [
             Switch(sim, config.switch, s, config.num_gpus)
             for s in range(config.num_switches)
@@ -67,16 +66,14 @@ class Network:
         # switch -> GPU.
         self.up_links: Dict[Tuple[int, int], Link] = {}
         self.down_links: Dict[Tuple[int, int], Link] = {}
-        fp = self.fastpath_windows
         for g in range(config.num_gpus):
             for s in range(config.num_switches):
                 up = Link(sim, config.link, f"gpu{g}->sw{s}",
-                          traffic_control=traffic_control,
-                          fastpath_windows=fp)
+                          traffic_control=traffic_control)
                 # Bind loop variables explicitly; a bare lambda would close
                 # over the loop cell and mis-deliver every message.
                 up.deliver = self._make_switch_delivery(s, g)
-                if fp:
+                if fuse:
                     # Fuse the wire delivery with the switch's fixed hop:
                     # one event carries the message straight to dispatch.
                     up._fused_hop = (self.switches[s]._dispatch, g,
@@ -84,8 +81,7 @@ class Network:
                 self.up_links[(g, s)] = up
 
                 down = Link(sim, config.link, f"sw{s}->gpu{g}",
-                            traffic_control=traffic_control,
-                            fastpath_windows=fp)
+                            traffic_control=traffic_control)
                 down.deliver = self._make_gpu_delivery(g)
                 self.down_links[(g, s)] = down
                 self.switches[s].down_links[g] = down
@@ -156,10 +152,6 @@ class Network:
         self.reroutes += 1
         healthy = self._healthy_planes
         return healthy[plane % len(healthy)]
-
-    @property
-    def failed_planes(self) -> Set[int]:
-        return set(self._failed_planes)
 
     def install_fault_hook(
             self, hook: Callable[[Message], bool]) -> None:

@@ -150,9 +150,6 @@ class Graph:
     def comm_ops(self) -> List[LogicalOp]:
         return [op for op in self._ops.values() if op.kind is OpKind.COMM]
 
-    def sublayer_ops(self, tag: str) -> List[LogicalOp]:
-        return [op for op in self._ops.values() if op.sublayer == tag]
-
 
 class GraphRunner:
     """The dependency walk every system runner shares.

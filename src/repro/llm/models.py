@@ -35,12 +35,6 @@ class ModelConfig:
                                   f"positive")
 
     @property
-    def head_dim(self) -> int:
-        # Table I's Mega-GPT-4B pairs hidden=2048 with 24 heads; follow the
-        # paper and round down rather than reject the published config.
-        return self.hidden // self.heads
-
-    @property
     def tokens(self) -> int:
         """Row dimension M of the activation matrices (= seq * batch)."""
         return self.seq_len * self.batch

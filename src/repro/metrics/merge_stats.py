@@ -44,18 +44,11 @@ class MergeStats:
             raise ValueError("session completed before it started")
         self._session_waits_ns.append(last_arrival - first_arrival)
 
-    @property
-    def session_waits_ns(self) -> List[float]:
-        return list(self._session_waits_ns)
-
     def average_wait_ns(self) -> float:
         """Mean first-to-last request spread (0 if no sessions merged)."""
         if not self._session_waits_ns:
             return 0.0
         return sum(self._session_waits_ns) / len(self._session_waits_ns)
-
-    def max_wait_ns(self) -> float:
-        return max(self._session_waits_ns, default=0.0)
 
     # ------------------------------------------------------------------
     # Table occupancy (Fig. 13a / Fig. 14)

@@ -25,8 +25,6 @@ def format_run_report(result, gantt: bool = True, width: int = 48) -> str:
     if fp:
         elided = fp.get("events_elided", 0.0)
         parts = [f"{int(elided):,} events elided"]
-        if fp.get("link_windows"):
-            parts.append(f"{int(fp['link_windows']):,} link windows")
         if fp.get("analytic_ops"):
             parts.append(f"{int(fp['analytic_ops']):,} analytic collectives")
         if fp.get("kernel_launches"):

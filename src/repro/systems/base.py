@@ -119,8 +119,7 @@ class Harness:
         self.config = config
         self.sim = Simulator()
         # Fast-path opt-in (DESIGN.md §11): fault injection rules out both
-        # batched link windows (a mid-window fault could not unwind a
-        # committed serialization) and the analytic collective bypass.
+        # the fused wire+switch hop and the analytic collective bypass.
         self.network = Network(self.sim, config,
                                traffic_control=traffic_control,
                                allow_fastpath=not config.faults.enabled)
@@ -243,19 +242,11 @@ class Harness:
         build that predates the fast-path entirely.
         """
         out: Dict[str, float] = {}
-        windows = messages = elided = 0
-        for link in self.network.all_links():
-            windows += link.fastpath_windows_opened
-            messages += link.fastpath_messages
-            elided += link.fastpath_events_elided
-        if messages:
-            out["fastpath.link_windows"] = float(windows)
-            out["fastpath.link_messages"] = float(messages)
+        elided = sum(link.fastpath_events_elided
+                     for link in self.network.all_links())
         analytic = sum(c.analytic_ops for c in self.fastpath_comms)
         calibrations = sum(c.calibrations for c in self.fastpath_comms)
         blacklists = sum(c.blacklists for c in self.fastpath_comms)
-        disagreements = sum(c.analytic_disagreements
-                            for c in self.fastpath_comms)
         elided += sum(c.events_elided for c in self.fastpath_comms)
         ex = self.executor
         if ex.fastpath_kernels:
@@ -269,8 +260,6 @@ class Harness:
             out["fastpath.calibrations"] = float(calibrations)
         if blacklists:
             out["fastpath.blacklists"] = float(blacklists)
-        if disagreements:
-            out["fastpath.analytic_disagreements"] = float(disagreements)
         if elided:
             out["fastpath.events_elided"] = float(elided)
         return out

@@ -4,8 +4,8 @@ DESIGN.md §11 states the equivalence contract per layer:
 
 * ``calendar_queue``   — byte-identical (provably; property-tested in
   ``tests/properties/test_scheduler_equivalence.py``);
-* ``link_windows``     — identical physics (per-chunk timestamps exact),
-  only event counts and same-instant interleaving differ;
+* ``link_windows``     — the fused wire+switch hop: identical physics,
+  only event counts differ;
 * ``analytic_collectives`` — exact-float makespans (the bypass replays a
   calibrated signature only after it validated to exact equality);
 * ``analytic_kernels`` — bit-exact replication of the event path,
@@ -15,12 +15,8 @@ These tests run real system workloads (scaled) with each layer toggled
 and require the outputs to match the all-off reference to exact float
 equality.  Every system compares its whole physics: the canonical
 ``RunSummary.to_dict()`` minus ``events`` and the ``fastpath.*`` details.
-On this workload every layer matches on the whole physics; on wider
-sweeps the link-windows layer still changes the physics of 13 to 20
-fig12 QUICK baseline cells (CoCoNet-NVLS, FuseLib-NVLS, T3, T3-NVLS),
-which perfbench counts in ``fastpath.divergent_cells``.  The kernel
-layer's conflict counter is pinned to zero on graphs with parallel
-branches (training backward), guarding the ``solo`` hint of the
+The kernel layer's conflict counter is pinned to zero on graphs with
+parallel branches (training backward), guarding the ``solo`` hint of the
 dependency walk every runner shares
 (``repro.llm.graph.GraphRunner.run_graph``).
 """
@@ -34,8 +30,8 @@ import pytest
 from repro.common import fastpath
 from repro.common.config import dgx_h100_config
 from repro.experiments.parallel import RunSummary
-from repro.experiments.runner import layer_graphs
-from repro.llm.models import LLAMA_7B
+from repro.experiments.runner import QUICK, layer_graphs, sublayer_for
+from repro.llm.models import LLAMA_7B, by_name
 from repro.llm.tiling import TilingConfig
 from repro.llm.tp import sublayer_graph
 from repro.systems import make_system
@@ -142,6 +138,26 @@ def test_layer_preserves_observables(references, layer_workload,
     # concurrent launch through (training graphs run dgrad+wgrad branches
     # in one event frame — the exact case the counter guards).
     assert res.details.get("fastpath.kernel_conflicts", 0.0) == 0.0
+
+
+@pytest.mark.parametrize("system", ("CAIS-Partial", "T3", "T3-NVLS",
+                                    "FuseLib-NVLS"))
+def test_default_layers_match_reference_on_quick_sublayer(system):
+    """Default layers against the reference on the Mega-GPT-4B L1 QUICK
+    sublayer at seed 1, on the whole physics.  Batched link windows,
+    which serialized FIFO-link messages without a serialization-end
+    event, changed the same-instant order of deliveries and moved the
+    physics of all four cells."""
+    model = QUICK.apply(by_name("Mega-GPT-4B"))
+    cfg = dgx_h100_config(seed=1)
+    graph = sublayer_for(model, cfg.num_gpus, system, "L1")
+    physics = []
+    for layers in (fastpath.DISABLED, fastpath.FastPathConfig()):
+        with fastpath.overridden(layers):
+            physics.append(_physics(make_system(
+                system, cfg, tiling=QUICK.tiling,
+                chunk_bytes=QUICK.coll_chunk_bytes).run([graph])))
+    assert physics[1] == physics[0]
 
 
 def test_kernel_fastpath_engages_and_elides_events(layer_workload):

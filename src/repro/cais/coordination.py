@@ -87,7 +87,7 @@ class GroupSyncTable:
             state = _SyncState(expected=expected)
             self._states[key] = state
             if self.release_timeout_ns is not None:
-                state.timer = switch.sim.schedule(
+                state.timer = switch.sim.timer(
                     self.release_timeout_ns, self._timeout, switch, key)
         elif state.expected != expected:
             raise ProtocolError(

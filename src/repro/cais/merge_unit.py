@@ -562,7 +562,7 @@ class MergeUnit:
             sim.advance_seq(1)
 
     def _arm(self, switch: Switch, entry: MergeEntry, delay: float) -> None:
-        event = switch.sim.schedule(delay, self._on_timeout, switch, entry)
+        event = switch.sim.timer(delay, self._on_timeout, switch, entry)
         entry.timeout_event = event
         entry.timer_seq = event.seq
 
@@ -574,7 +574,7 @@ class MergeUnit:
         if entry.timeout_event.seq != entry.timer_seq:
             # Touched since this timer was queued: take the place of the
             # timer that touch would have queued.
-            entry.timeout_event = switch.sim.schedule_at(
+            entry.timeout_event = switch.sim.timer_at(
                 entry.last_access + self.timeout_ns, self._on_timeout,
                 switch, entry, seq=entry.timer_seq)
             return

@@ -13,6 +13,7 @@ Table II validation experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -37,6 +38,11 @@ class GpuSpec:
     hbm_bandwidth_gbps: float = 3350.0   # bytes/ns
     hbm_latency_ns: float = 450.0
     kernel_launch_overhead_ns: float = 2000.0
+
+    def __post_init__(self) -> None:
+        _require_delay(self.hbm_latency_ns, "GpuSpec.hbm_latency_ns")
+        _require_delay(self.kernel_launch_overhead_ns,
+                       "GpuSpec.kernel_launch_overhead_ns")
 
     def sustained_tensor_flops_per_ns(self) -> float:
         """Whole-GPU sustained tensor throughput in flops per nanosecond."""
@@ -64,6 +70,14 @@ class LinkSpec:
     flit_bytes: int = 16
     max_packet_bytes: int = 128          # intra-SM coalescing target
 
+    def __post_init__(self) -> None:
+        # Serialization time is wire bytes / bandwidth: zero divides by
+        # zero, and a negative rate ends a transmission before it starts.
+        _require(math.isfinite(self.bandwidth_gbps)
+                 and self.bandwidth_gbps > 0.0, "LinkSpec.bandwidth_gbps",
+                 self.bandwidth_gbps, "must be finite and > 0")
+        _require_delay(self.latency_ns, "LinkSpec.latency_ns")
+
 
 @dataclass(frozen=True)
 class SwitchSpec:
@@ -76,6 +90,9 @@ class SwitchSpec:
     merge_entry_bytes: int = 128
     merge_timeout_ns: float = 50_000.0   # forward-progress timeout
     reduce_flops_per_ns: float = 1.0e3   # in-switch ALU throughput (amortized)
+
+    def __post_init__(self) -> None:
+        _require_delay(self.hop_latency_ns, "SwitchSpec.hop_latency_ns")
 
     def merge_table_bytes(self) -> int:
         """Merge table capacity per port, in bytes."""
@@ -112,6 +129,13 @@ def _require(ok: bool, name: str, value, constraint: str) -> None:
     """Raise :class:`ConfigError` naming the offending field."""
     if not ok:
         raise ConfigError(f"{name}={value!r} {constraint}")
+
+
+def _require_delay(value: float, name: str) -> None:
+    """A field that becomes an event delay: finite and >= 0 (zero is a
+    legal latency)."""
+    _require(math.isfinite(value) and value >= 0.0, name, value,
+             "must be finite and >= 0")
 
 
 @dataclass(frozen=True)

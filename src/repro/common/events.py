@@ -10,18 +10,24 @@ Design notes
 * Events at equal timestamps fire in scheduling order (a monotonically
   increasing sequence number breaks ties), which makes runs fully
   deterministic for a fixed seed.
-* Events are cancellable: :meth:`Event.cancel` marks the event dead and the
-  main loop skips it.  This supports timeout timers that are disarmed
-  before they fire.  The simulator tracks how many cancelled events still
-  sit in the queue (cancelling an event that already fired counts
-  nothing) and auto-compacts the queue when they outnumber the live ones.
+* Queue entries are plain tuples ``(time, seq, callback, args)``:
+  :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` build no
+  object beyond that tuple and return nothing.  Only a cancellable timer
+  (:meth:`Simulator.timer`, :meth:`Simulator.timer_at`) gets an
+  :class:`Event`, queued as ``(time, seq, None, event)``; the ``None``
+  callback marks the entry.  :meth:`Event.cancel` marks the event dead and
+  the loops skip it.  The simulator tracks how many cancelled timers still
+  sit in the queue (cancelling one that already fired counts nothing) and
+  auto-compacts the queue when they outnumber the live entries.  Under
+  causal recording every event must carry its cause, so ``schedule`` and
+  ``schedule_at`` queue timer entries there.
 * Two interchangeable queue disciplines sit behind one three-method API
   (``push``, which returns the new queue length, ``pop`` and ``peek``):
   the reference binary heap and a calendar queue (bucketed by timestamp).
-  Both fire events in *exactly* the same ``(time, seq)`` order — entries
-  are ``(time, seq, event)`` tuples and ``seq`` is unique, so the order is
-  a total order independent of the container — which keeps every output
-  byte-identical across disciplines (property-tested in
+  Both fire events in *exactly* the same ``(time, seq)`` order — ``seq``
+  is unique, so tuple comparison never reaches the third element and the
+  order is a total order independent of the container — which keeps every
+  output byte-identical across disciplines (property-tested in
   ``tests/properties/test_scheduler_equivalence.py``).  The heap is the
   default; the calendar queue is selected by
   ``FastPathConfig.calendar_queue`` (:mod:`repro.common.fastpath`).
@@ -30,6 +36,8 @@ Design notes
   ``until``/``max_events``, profiler or causal recording pops straight off
   it in one fused loop.  Every other case takes the general loop; both
   fire the same events in the same order.
+* :attr:`Simulator.now` is a plain attribute that only the run loops
+  write.
 * :meth:`Simulator.run` pauses Python's cyclic garbage collector for its
   whole length and restores the caller's setting when it returns or
   raises.  That is safe because a run creates no cyclic garbage: every
@@ -56,10 +64,12 @@ _AUTO_COMPACT_MIN_QUEUE = 64
 
 
 class Event:
-    """A scheduled callback.
+    """A cancellable timer.
 
-    Instances are created by :meth:`Simulator.schedule`; user code only ever
-    cancels them or inspects :attr:`time`.
+    Instances are created by :meth:`Simulator.timer` and
+    :meth:`Simulator.timer_at` (and, under causal recording, by
+    :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`); user
+    code only ever cancels them or inspects :attr:`time`.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner",
@@ -93,24 +103,26 @@ class Event:
         if owner is not None:
             owner._cancelled_live += 1
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "armed"
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         return f"Event(t={self.time:.1f}ns, {name}, {state})"
 
 
-#: Queue entries: comparison is C-level tuple comparison on (time, seq) —
-#: ``seq`` is unique per simulator, so the third element never compares.
-_Entry = Tuple[float, int, Event]
+#: Queue entries: ``(time, seq, callback, args)``, or ``(time, seq, None,
+#: event)`` for a timer.  Comparison is C-level tuple comparison on
+#: ``(time, seq)`` — ``seq`` is unique per simulator, so the third element
+#: never compares.
+_Entry = Tuple[float, int, Optional[Callable[..., None]], Any]
+
+
+def _dead(entry: _Entry) -> bool:
+    """A cancelled timer's entry."""
+    return entry[2] is None and entry[3].cancelled
 
 
 class HeapEventQueue:
-    """Reference discipline: one binary heap of ``(time, seq, event)``."""
+    """Reference discipline: one binary heap of queue entries."""
 
     __slots__ = ("_heap",)
 
@@ -132,8 +144,8 @@ class HeapEventQueue:
         return heap[0] if heap else None
 
     def compact(self) -> None:
-        """Drop cancelled events; preserves relative order of the rest."""
-        self._heap[:] = [e for e in self._heap if not e[2].cancelled]
+        """Drop cancelled timers; preserves relative order of the rest."""
+        self._heap[:] = [e for e in self._heap if not _dead(e)]
         heapify(self._heap)
 
 
@@ -230,14 +242,14 @@ class CalendarEventQueue:
         return cur[0] if cur else None
 
     def compact(self) -> None:
-        """Drop cancelled events; bucket structure is preserved (empty
+        """Drop cancelled timers; bucket structure is preserved (empty
         future buckets leave a stale index that :meth:`_advance` skips)."""
-        cur = [e for e in self._cur if not e[2].cancelled]
+        cur = [e for e in self._cur if not _dead(e)]
         heapify(cur)
         self._cur = cur
         size = len(cur)
         for idx in list(self._buckets):
-            bucket = [e for e in self._buckets[idx] if not e[2].cancelled]
+            bucket = [e for e in self._buckets[idx] if not _dead(e)]
             if bucket:
                 self._buckets[idx] = bucket
                 size += len(bucket)
@@ -313,8 +325,8 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(10.0, fired.append, "a")
-    >>> _ = sim.schedule(5.0, fired.append, "b")
+    >>> sim.schedule(10.0, fired.append, "a")
+    >>> sim.schedule(5.0, fired.append, "b")
     >>> sim.run()
     >>> fired
     ['b', 'a']
@@ -325,7 +337,9 @@ class Simulator:
             scheduler = ("calendar" if fastpath.config().calendar_queue
                          else "heap")
         self.scheduler = scheduler
-        self._now: float = 0.0
+        #: Current simulation time in nanoseconds.  Only the run loops
+        #: write it.
+        self.now: float = 0.0
         self._queue = _make_queue(scheduler)
         # The heap discipline's list, which scheduling and the fused run
         # loop push and pop directly; None on the calendar queue.
@@ -333,7 +347,7 @@ class Simulator:
             self._queue._heap if scheduler == "heap" else None)
         # Next event sequence number.  A plain int (not itertools.count) so
         # that callers can reserve numbers (seq_allocated + advance_seq)
-        # for an event they queue later with schedule_at(..., seq=...).
+        # for a timer they queue later with timer_at(..., seq=...).
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -346,15 +360,13 @@ class Simulator:
         self._profiler = current_profiler()
         self._metrics = current_metrics()
         self._causality = current_causality()
+        # Causal recording stamps every event with its cause, which only
+        # a timer entry carries (module docstring).
+        self._causal = self._causality.enabled
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events fired so far (cancelled events excluded)."""
@@ -438,58 +450,98 @@ class Simulator:
     # ------------------------------------------------------------------
     # ``schedule`` and ``schedule_at`` share their body, written out in
     # each: they run once per event, and a shared helper would add a call.
+    # The guards are written ``not x >= y`` so that they reject NaN too.
 
     def schedule(self, delay: float, callback: Callable[..., None],
-                 *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to fire ``delay`` ns from now."""
-        if delay < 0:
+                 *args: Any) -> None:
+        """Schedule ``callback(*args)`` to fire ``delay`` ns from now.
+
+        The event cannot be cancelled; :meth:`timer` queues one that can.
+        """
+        if not delay >= 0:
             raise SimulationError(
-                f"cannot schedule event {delay} ns in the past "
-                f"(now={self._now})")
-        time = self._now + delay
+                f"cannot schedule event {delay} ns from now "
+                f"(now={self.now}): the delay must be >= 0")
+        time = self.now + delay
+        if self._causal:
+            self._queue_timer(time, None, callback, args)
+            return
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, seq, callback, args, self, self._causality.current)
         heap = self._heap
         if heap is None:
-            depth = self._queue.push((time, seq, ev))
+            depth = self._queue.push((time, seq, callback, args))
         else:
-            heappush(heap, (time, seq, ev))
+            heappush(heap, (time, seq, callback, args))
             depth = len(heap)
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
         if (self._cancelled_live * 2 > depth
                 and depth >= _AUTO_COMPACT_MIN_QUEUE):
             self._auto_compact()
-        return ev
 
     def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any, seq: Optional[int] = None) -> Event:
+                    *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute time ``time`` ns.
 
         The timestamp is used exactly as given — no round-trip through a
         relative delay, which would perturb absolute times by float
         rounding (``now + (time - now) != time`` in general).
-
-        ``seq`` queues the event under a sequence number reserved earlier
-        with :attr:`seq_allocated` and :meth:`advance_seq`, instead of the
-        next one: the event then takes the place, among same-instant
-        events, of one scheduled at the moment of the reservation.
         """
-        if time < self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule event at {time} ns, in the past "
-                f"(now={self._now})")
+                f"cannot schedule event at {time} ns, before now "
+                f"(now={self.now})")
+        if self._causal:
+            self._queue_timer(time, None, callback, args)
+            return
+        seq = self._seq
+        self._seq = seq + 1
+        heap = self._heap
+        if heap is None:
+            depth = self._queue.push((time, seq, callback, args))
+        else:
+            heappush(heap, (time, seq, callback, args))
+            depth = len(heap)
+        if depth > self._peak_queue_depth:
+            self._peak_queue_depth = depth
+        if (self._cancelled_live * 2 > depth
+                and depth >= _AUTO_COMPACT_MIN_QUEUE):
+            self._auto_compact()
+
+    def timer(self, delay: float, callback: Callable[..., None],
+              *args: Any) -> Event:
+        """Like :meth:`schedule`, but cancellable: returns the
+        :class:`Event` to cancel."""
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot arm a timer {delay} ns from now "
+                f"(now={self.now}): the delay must be >= 0")
+        return self._queue_timer(self.now + delay, None, callback, args)
+
+    def timer_at(self, time: float, callback: Callable[..., None],
+                 *args: Any, seq: Optional[int] = None) -> Event:
+        """Like :meth:`schedule_at`, but cancellable: returns the
+        :class:`Event` to cancel.
+
+        ``seq`` queues the timer under a sequence number reserved earlier
+        with :attr:`seq_allocated` and :meth:`advance_seq`, instead of the
+        next one: it then takes the place, among same-instant events, of
+        one scheduled at the moment of the reservation.
+        """
+        if not time >= self.now:
+            raise SimulationError(
+                f"cannot arm a timer at {time} ns, before now "
+                f"(now={self.now})")
+        return self._queue_timer(time, seq, callback, args)
+
+    def _queue_timer(self, time: float, seq: Optional[int],
+                     callback: Callable[..., None], args: tuple) -> Event:
         if seq is None:
             seq = self._seq
             self._seq = seq + 1
         ev = Event(time, seq, callback, args, self, self._causality.current)
-        heap = self._heap
-        if heap is None:
-            depth = self._queue.push((time, seq, ev))
-        else:
-            heappush(heap, (time, seq, ev))
-            depth = len(heap)
+        depth = self._queue.push((time, seq, None, ev))
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
         if (self._cancelled_live * 2 > depth
@@ -504,7 +556,7 @@ class Simulator:
 
     def advance_seq(self, n: int) -> None:
         """Skip ``n`` sequence numbers, reserving them for
-        :meth:`schedule_at`."""
+        :meth:`timer_at`."""
         if n < 0:
             raise SimulationError(f"cannot advance seq by {n}")
         self._seq += n
@@ -520,36 +572,39 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _dispatch(self, ev: Event) -> None:
-        """Advance the clock to ``ev`` and fire it.
+    def _dispatch(self, entry: _Entry) -> None:
+        """Advance the clock to ``entry`` and fire it.
 
         The dispatch path shared by :meth:`step` and the general run loop
         — clock monotonicity check, causality restore, profiler wrap.
         """
-        if ev.time < self._now:
+        time, _, callback, args = entry
+        if not time >= self.now:
             raise SimulationError(
-                f"event queue time went backwards: {ev.time} < {self._now}")
-        self._now = ev.time
+                f"event queue time went backwards: {time} < {self.now}")
+        self.now = time
         self._events_processed += 1
-        ev.owner = None
-        causality = self._causality
-        if causality.enabled:
-            causality.current = ev.cause
+        if callback is None:
+            ev = args
+            ev.owner = None
+            if self._causal:
+                self._causality.current = ev.cause
+            callback, args = ev.callback, ev.args
         profiler = self._profiler
         if profiler is None:
-            ev.callback(*ev.args)
+            callback(*args)
         else:
-            profiler.timed(ev.callback, ev.args)
+            profiler.timed(callback, args)
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False when the queue is empty."""
         queue = self._queue
         while len(queue):
-            ev = queue.pop()[2]
-            if ev.cancelled:
+            entry = queue.pop()
+            if _dead(entry):
                 self._cancelled_live -= 1
                 continue
-            self._dispatch(ev)
+            self._dispatch(entry)
             self.publish_metrics()
             return True
         return False
@@ -574,26 +629,28 @@ class Simulator:
         try:
             heap = self._heap
             if (heap is not None and until is None and max_events is None
-                    and self._profiler is None
-                    and not self._causality.enabled):
+                    and self._profiler is None and not self._causal):
                 # Fused loop: the common case, popping straight off the
                 # heap.  ``_events_processed`` stays live per event (the
                 # fault watchdog and the analytic collective bypass read
                 # it mid-run), and drain_cancelled() compacts the heap list
                 # in place, so ``heap`` stays valid across callbacks.
                 while heap:
-                    time, _, ev = heappop(heap)
-                    if ev.cancelled:
-                        self._cancelled_live -= 1
-                        continue
-                    if time < self._now:
+                    time, _, callback, args = heappop(heap)
+                    if callback is None:
+                        # A timer entry: ``args`` is its Event.
+                        if args.cancelled:
+                            self._cancelled_live -= 1
+                            continue
+                        args.owner = None
+                        callback, args = args.callback, args.args
+                    if not time >= self.now:
                         raise SimulationError(
                             f"event queue time went backwards: "
-                            f"{time} < {self._now}")
-                    self._now = time
+                            f"{time} < {self.now}")
+                    self.now = time
                     self._events_processed += 1
-                    ev.owner = None
-                    ev.callback(*ev.args)
+                    callback(*args)
             else:
                 self._run_general(until, max_events)
         finally:
@@ -620,19 +677,18 @@ class Simulator:
             entry = peek()
             if entry is None:
                 break
-            ev = entry[2]
-            if ev.cancelled:
+            if _dead(entry):
                 pop()
                 self._cancelled_live -= 1
                 continue
             if until is not None and entry[0] > until:
-                self._now = until
+                self.now = until
                 return
             pop()
-            dispatch(ev)
+            dispatch(entry)
             fired += 1
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
 
     def drain_cancelled(self) -> None:
         """Compact the queue by dropping cancelled events.

@@ -176,7 +176,7 @@ class FaultInjector:
             self.network.install_fault_hook(self._message_fault)
         for ev in self.schedule.events:
             self._scheduled.append(
-                self.sim.schedule_at(ev.time_ns, self._apply, ev))
+                self.sim.timer_at(ev.time_ns, self._apply, ev))
         self._watchdog = Watchdog(self.sim, spec.watchdog_interval_ns,
                                   spec.watchdog_strikes, self.state.counters)
         for reporter in self._pending_reporters:
@@ -298,7 +298,7 @@ class FaultInjector:
             clear()
             self._span_end(span)
 
-        self._scheduled.append(self.sim.schedule(ev.duration_ns, _clear))
+        self._scheduled.append(self.sim.timer(ev.duration_ns, _clear))
 
     # ------------------------------------------------------------------
     # Message drop / corruption

@@ -121,7 +121,7 @@ class Retransmitter:
         self._outstanding.clear()
 
     def _arm(self, key: Rkey, entry: _Outstanding) -> None:
-        entry.timer = self.sim.schedule(
+        entry.timer = self.sim.timer(
             self.policy.timeout_for(entry.attempt) * entry.timeout_scale,
             self._on_timeout, key)
 

@@ -48,7 +48,7 @@ class Watchdog:
         self._reporters.append(reporter)
 
     def arm(self) -> None:
-        self._timer = self.sim.schedule(self.interval_ns, self._tick)
+        self._timer = self.sim.timer(self.interval_ns, self._tick)
 
     def disarm(self) -> None:
         """Stop watching (workload finished; the queue may now drain)."""

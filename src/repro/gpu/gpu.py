@@ -7,21 +7,23 @@ concurrently running kernels with complementary traffic (asymmetric kernel
 overlapping, Section III-C-2); by default a single ``"default"`` pool holds
 every slot.
 
-Messages delivered by the fabric are offered to the synchronizer (sync
-releases, throttle credits) and then the memory controller (loads, fills,
-stores, gathers).
+Messages delivered by the fabric are offered to the registered handlers
+first (collective drivers, fault acks), then routed by op to the
+synchronizer (sync releases, throttle credits) or the memory controller
+(loads, fills, stores, gathers).
 """
 
 from __future__ import annotations
 
 from functools import partial
+from types import MethodType
 from typing import Callable, Dict, List, Optional
 
 from ..cais.coordination import SyncPhase
 from ..common.config import GpuSpec
 from ..common.errors import ConfigError, SimulationError
 from ..common.events import Simulator
-from ..interconnect.message import Message
+from ..interconnect.message import Message, Op
 from ..interconnect.network import Network
 from .memory import MemoryController
 from .scheduler import (DispatchPolicy, FairSharePolicy, FifoPolicy,
@@ -56,6 +58,11 @@ class Gpu:
             local_value_fn=local_value_fn)
         self.synchronizer = Synchronizer(network, index,
                                          throttle_window=throttle_window)
+        # Deliveries by op, each bound to the module that consumes it.
+        self._routes: Dict[Op, Callable[[Message], None]] = {
+            op: MethodType(handler, part)
+            for part in (self.synchronizer, self.memory)
+            for op, handler in part.ROUTES.items()}
         total = spec.num_sms * spec.tb_slots_per_sm
         self._capacity: Dict[str, int] = {DEFAULT_POOL: total}
         self._used: Dict[str, int] = {DEFAULT_POOL: 0}
@@ -298,9 +305,8 @@ class Gpu:
         for handler in self.handlers:
             if handler(msg):
                 return
-        if self.synchronizer.handle(msg):
-            return
-        if self.memory.handle(msg):
-            return
-        raise SimulationError(
-            f"GPU {self.index} cannot handle {msg}")
+        route = self._routes.get(msg.op)
+        if route is None:
+            raise SimulationError(
+                f"GPU {self.index} cannot handle {msg}")
+        route(msg)

@@ -183,20 +183,11 @@ class MemoryController:
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> bool:
         """Process a memory-bound message; True when consumed."""
-        if msg.op is Op.LOAD_REQ:
-            self._serve_fill(msg)
-            return True
-        if msg.op is Op.MULTIMEM_LD_REDUCE_GATHER:
-            self._serve_gather(msg)
-            return True
-        if msg.op in (Op.LD_CAIS_RESP, Op.LOAD_RESP,
-                      Op.MULTIMEM_LD_REDUCE_RESP):
-            self._fill_cache(msg.address, msg.payload)
-            return True
-        if msg.op is Op.STORE:
-            self._on_store(msg)
-            return True
-        return False
+        route = self.ROUTES.get(msg.op)
+        if route is None:
+            return False
+        route(self, msg)
+        return True
 
     def _serve_fill(self, msg: Message) -> None:
         """Answer a fill/direct load after the HBM read latency."""
@@ -245,3 +236,15 @@ class MemoryController:
         callbacks = self._store_callbacks.pop(msg.address, [])
         for cb in callbacks:
             cb(msg.payload)
+
+    def _on_fill(self, msg: Message) -> None:
+        self._fill_cache(msg.address, msg.payload)
+
+    #: The ops this controller consumes, each with its handler.  The GPU
+    #: routes its deliveries by this table (``Gpu.receive``).
+    ROUTES = {Op.LOAD_REQ: _serve_fill,
+              Op.MULTIMEM_LD_REDUCE_GATHER: _serve_gather,
+              Op.LD_CAIS_RESP: _on_fill,
+              Op.LOAD_RESP: _on_fill,
+              Op.MULTIMEM_LD_REDUCE_RESP: _on_fill,
+              Op.STORE: _on_store}

@@ -60,21 +60,29 @@ class Synchronizer:
     # ------------------------------------------------------------------
     # Message entry point
     # ------------------------------------------------------------------
+    def _on_release(self, msg: Message) -> None:
+        key = (msg.group_id, msg.meta["phase"])
+        for cb in self._pending.pop(key, []):
+            cb()
+
+    def _on_credit(self, msg: Message) -> None:
+        # The merge unit broadcasts completion credits to every
+        # participant; GPUs that did not issue (e.g. the home GPU of a
+        # load session) simply ignore theirs.
+        if self.throttle is not None and self.throttle.in_flight > 0:
+            self.throttle.release()
+
+    #: The ops this module consumes, each with its handler.  The GPU
+    #: routes its deliveries by this table (``Gpu.receive``).
+    ROUTES = {Op.SYNC_RELEASE: _on_release, Op.CREDIT: _on_credit}
+
     def handle(self, msg: Message) -> bool:
         """Process a control message; True when consumed."""
-        if msg.op is Op.SYNC_RELEASE:
-            key = (msg.group_id, msg.meta["phase"])
-            for cb in self._pending.pop(key, []):
-                cb()
-            return True
-        if msg.op is Op.CREDIT:
-            # The merge unit broadcasts completion credits to every
-            # participant; GPUs that did not issue (e.g. the home GPU of a
-            # load session) simply ignore theirs.
-            if self.throttle is not None and self.throttle.in_flight > 0:
-                self.throttle.release()
-            return True
-        return False
+        route = self.ROUTES.get(msg.op)
+        if route is None:
+            return False
+        route(self, msg)
+        return True
 
     # ------------------------------------------------------------------
     # Throttling

@@ -165,7 +165,7 @@ class Link:
     # ------------------------------------------------------------------
     def set_bandwidth_factor(self, factor: float) -> None:
         """Derate (or restore) the link rate; applies to future messages."""
-        if factor <= 0.0:
+        if not factor > 0.0:
             raise SimulationError(
                 f"link {self.name}: bandwidth factor must be > 0, "
                 f"got {factor}")

@@ -19,7 +19,7 @@ Operation kinds cover the three protocol families in the paper:
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 from ..common.ids import IdAllocator
 
 NodeId = Tuple[str, int]                 # ("gpu", 3) or ("sw", 0)
@@ -29,14 +29,27 @@ FLIT_BYTES = 16
 PACKET_BYTES = 128
 
 
-def gpu_node(index: int) -> NodeId:
-    """NodeId of GPU ``index``."""
-    return ("gpu", index)
+class _NodeIds(dict):
+    """The NodeIds of one node kind by index, each built on first use."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, index: int) -> NodeId:
+        node = self[index] = (self.kind, index)
+        return node
 
 
-def switch_node(index: int) -> NodeId:
-    """NodeId of switch plane ``index``."""
-    return ("sw", index)
+# Bound lookups of one shared tuple per node, so that building a message
+# neither rebuilds a node id nor enters a Python-level call.
+
+#: NodeId of GPU ``index``.
+gpu_node: Callable[[int], NodeId] = _NodeIds("gpu").__getitem__
+#: NodeId of switch plane ``index``.
+switch_node: Callable[[int], NodeId] = _NodeIds("sw").__getitem__
 
 
 class Op(enum.Enum):
@@ -154,7 +167,11 @@ class Message:
         self.payload = payload
         self.group_id = group_id
         self.meta = {} if meta is None else meta
-        self.msg_id = _msg_ids() if msg_id is None else msg_id
+        if msg_id is None:
+            # The allocator's call, inlined: one runs per message.
+            msg_id = _msg_ids.value
+            _msg_ids.value = msg_id + 1
+        self.msg_id = msg_id
 
     @property
     def traffic_class(self) -> TrafficClass:

@@ -6,7 +6,8 @@ traffic picks its plane with the deterministic address hash (so mergeable
 requests converge); unaddressed traffic stripes round-robin.
 
 GPU-side endpoints are registered by the GPU model (or by test stubs) — the
-fabric only requires a ``receive(msg)`` callable per GPU.
+fabric only requires a ``receive(msg)`` callable per GPU, which it binds
+straight into that GPU's down links.
 
 Causal recording (:mod:`repro.obs.causality`) needs no explicit threading
 here: a message injected via :meth:`Network.send_from_gpu` is enqueued on
@@ -56,7 +57,6 @@ class Network:
             Switch(sim, config.switch, s, config.num_gpus)
             for s in range(config.num_switches)
         ]
-        self._gpu_receivers: Dict[int, Callable[[Message], None]] = {}
         # Fault-injection state: planes taken out of service and the
         # deterministic remap of new traffic onto the survivors.
         self._failed_planes: Set[int] = set()
@@ -80,9 +80,9 @@ class Network:
                                      config.switch.hop_latency_ns)
                 self.up_links[(g, s)] = up
 
+                # Its receiver is bound by register_gpu().
                 down = Link(sim, config.link, f"sw{s}->gpu{g}",
                             traffic_control=traffic_control)
-                down.deliver = self._make_gpu_delivery(g)
                 self.down_links[(g, s)] = down
                 self.switches[s].down_links[g] = down
 
@@ -94,29 +94,21 @@ class Network:
         switch = self.switches[switch_index]
         return lambda msg: switch.receive(msg, gpu_index)
 
-    def _make_gpu_delivery(self, gpu_index: int) -> Callable[[Message], None]:
-        def deliver(msg: Message) -> None:
-            receiver = self._gpu_receivers.get(gpu_index)
-            if receiver is None:
-                raise SimulationError(
-                    f"no receiver registered for GPU {gpu_index}")
-            receiver(msg)
-        return deliver
-
     def unwire(self) -> None:
         """Disconnect the fabric from its endpoints once the run is over:
-        every link drops its callbacks and the GPU receivers are
-        forgotten.  Link trackers and counters stay readable."""
+        every link drops its callbacks, the GPU receivers included.  Link
+        trackers and counters stay readable."""
         for link in self.all_links():
             link.unwire()
-        self._gpu_receivers.clear()
 
     def register_gpu(self, gpu_index: int,
                      receiver: Callable[[Message], None]) -> None:
-        """Attach the endpoint that consumes messages delivered to a GPU."""
+        """Attach the endpoint that consumes messages delivered to a GPU:
+        each of its down links hands messages straight to ``receiver``."""
         if not 0 <= gpu_index < self.config.num_gpus:
             raise RoutingError(f"no such GPU: {gpu_index}")
-        self._gpu_receivers[gpu_index] = receiver
+        for s in range(self.config.num_switches):
+            self.down_links[(gpu_index, s)].deliver = receiver
 
     # ------------------------------------------------------------------
     # Fault injection

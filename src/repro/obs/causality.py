@@ -12,8 +12,9 @@ Propagation model
 Threading an explicit ``cause_id`` through every callback chain would
 touch every component signature, so causality rides the event engine
 instead: the recorder exposes an *ambient* :attr:`CausalityRecorder.current`
-node id; :meth:`repro.common.events.Simulator.schedule` stamps it onto
-each event, and the run loop restores it before firing the callback.
+node id; with a recorder installed, the simulator
+(:mod:`repro.common.events`) stamps it onto each event it queues, and
+the run loop restores it before firing the callback.
 Components only assign ``current`` where they create nodes (a link when a
 message finishes serializing, a switch when it dispatches, a TB when a
 phase ends) — everything scheduled downstream inherits the right cause
@@ -29,7 +30,8 @@ node's category.
 Zero-cost contract: the default :class:`NullCausality` has
 ``enabled = False`` and ``current = NO_CAUSE`` as class attributes;
 instrumented paths guard node creation with ``if cz.enabled:``, and a
-disabled run pays one attribute read per scheduled event.  Recording
+disabled run stamps no cause on its events (only its cancellable
+timers carry one, ``NO_CAUSE``).  Recording
 creates no simulation events and draws no randomness, so an enabled run
 is simulation-identical to a disabled one.
 """
@@ -114,9 +116,8 @@ class CausalNode:
 class NullCausality:
     """No-op recorder installed by default.
 
-    ``enabled``/``current`` are class attributes so the Simulator's
-    per-event ``ev.cause = cz.current`` stamp is a constant read when
-    causality is off.  ``__slots__`` is empty: accidentally assigning
+    ``enabled``/``current`` are class attributes, so reading them costs a
+    constant lookup when causality is off.  ``__slots__`` is empty: accidentally assigning
     ``current`` on the null object raises instead of silently recording.
     """
 

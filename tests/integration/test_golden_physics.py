@@ -15,10 +15,12 @@ Regenerate them only for an intended change of physics or event count::
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from repro.common import fastpath
+from repro.common.events import Event
 from repro.common.config import dgx_h100_config
 from repro.experiments.fig20_serving import spec_for
 from repro.experiments.parallel import RunSummary
@@ -75,6 +77,23 @@ def golden_path(name):
 def test_run_matches_golden_summary(name):
     with open(golden_path(name)) as fh:
         assert canonical(name) == fh.read()
+
+
+def test_serving_builds_event_objects_only_for_timers(monkeypatch):
+    """Plain events are bare queue tuples; on the golden CAIS serving
+    request only the merge-unit session timers and the sync-table release
+    timers, the cancellable ones, get an :class:`Event`."""
+    built = Counter()
+    init = Event.__init__
+
+    def counting(self, time, seq, callback, *rest):
+        built[callback.__qualname__] += 1
+        init(self, time, seq, callback, *rest)
+
+    monkeypatch.setattr(Event, "__init__", counting)
+    with fastpath.overridden(fastpath.FastPathConfig()):
+        cais_serving()
+    assert set(built) == {"MergeUnit._on_timeout", "GroupSyncTable._timeout"}
 
 
 if __name__ == "__main__":

@@ -30,20 +30,26 @@ def test_events_fire_in_nondecreasing_time_order(delays):
 
 @given(st.lists(st.tuples(st.floats(min_value=0, max_value=1000,
                                     allow_nan=False),
-                          st.booleans()), min_size=1, max_size=40))
+                          st.booleans(), st.booleans()),
+                min_size=1, max_size=40))
 def test_cancelled_events_never_fire(entries):
+    """Plain events and timers mixed; only timers can be cancelled, and
+    every cancelled one stays silent."""
     sim = Simulator()
     fired = []
-    events = []
-    for delay, cancel in entries:
-        ev = sim.schedule(delay, fired.append, delay)
-        events.append((ev, cancel))
-    for ev, cancel in events:
+    timers = []
+    for delay, cancel, timer in entries:
+        if cancel or timer:
+            timers.append((sim.timer(delay, fired.append, delay), cancel))
+        else:
+            sim.schedule(delay, fired.append, delay)
+    for ev, cancel in timers:
         if cancel:
             ev.cancel()
     sim.run()
-    expected = sorted(d for (d, c) in entries if not c)
+    expected = sorted(d for (d, c, _) in entries if not c)
     assert sorted(fired) == expected
+    assert sim.cancelled_pending() == 0
 
 
 # ---------------------------------------------------------------------------

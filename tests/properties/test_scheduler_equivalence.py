@@ -8,6 +8,8 @@ randomized schedule/cancel/drain scripts generated by hypothesis and
 require the observable firing sequence to match exactly — including
 through adaptive calendar resizes and auto-compaction.  The same holds
 for the fused ``run()`` loop against ``run(max_events=k)`` and ``step()``.
+Scripts mix plain events with cancellable timers, the two kinds of queue
+entry, and cancel only timers.
 """
 
 from __future__ import annotations
@@ -26,16 +28,16 @@ from repro.common.events import (
 # One scripted operation: (kind, value).
 #   ("push", delay)    — schedule a recording callback `delay` ns ahead
 #   ("push_at", dt)    — schedule at absolute time now + dt (exact)
-#   ("cancel", k)      — cancel the k-th oldest still-armed event
+#   ("timer", delay)   — the same as "push", on a cancellable timer
+#   ("timer_at", dt)   — the same as "push_at", on a cancellable timer
+#   ("cancel", k)      — cancel the k-th oldest still-armed timer
 #   ("run", n)         — fire up to n events
+_DELAYS = st.floats(min_value=0.0, max_value=1e6,
+                    allow_nan=False, allow_infinity=False)
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("push"),
-                  st.floats(min_value=0.0, max_value=1e6,
-                            allow_nan=False, allow_infinity=False)),
-        st.tuples(st.just("push_at"),
-                  st.floats(min_value=0.0, max_value=1e6,
-                            allow_nan=False, allow_infinity=False)),
+        st.tuples(st.sampled_from(["push", "push_at", "timer",
+                                   "timer_at"]), _DELAYS),
         st.tuples(st.just("cancel"), st.integers(0, 30)),
         st.tuples(st.just("run"), st.integers(1, 20)),
     ),
@@ -54,10 +56,16 @@ def _execute(script, scheduler: str):
     tag = 0
     for kind, value in script:
         if kind == "push":
-            armed.append(sim.schedule(value, fire, tag))
+            sim.schedule(value, fire, tag)
             tag += 1
         elif kind == "push_at":
-            armed.append(sim.schedule_at(sim.now + value, fire, tag))
+            sim.schedule_at(sim.now + value, fire, tag)
+            tag += 1
+        elif kind == "timer":
+            armed.append(sim.timer(value, fire, tag))
+            tag += 1
+        elif kind == "timer_at":
+            armed.append(sim.timer_at(sim.now + value, fire, tag))
             tag += 1
         elif kind == "cancel":
             live = [e for e in armed if not e.cancelled]
@@ -81,6 +89,10 @@ def test_calendar_and_heap_fire_identically(script):
     assert cal_n == heap_n
 
 
+def _noop():
+    """Callback of the raw-queue tests' plain entries (never fired)."""
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e9,
                           allow_nan=False, allow_infinity=False),
@@ -88,13 +100,10 @@ def test_calendar_and_heap_fire_identically(script):
 def test_queue_disciplines_pop_identical_entries(times):
     """Raw queue level: any push multiset pops in the same total order."""
 
-    class _Stub:
-        cancelled = False
-
     heap, cal = HeapEventQueue(), CalendarEventQueue()
     for seq, t in enumerate(times):
-        heap.push((t, seq, _Stub()))
-        cal.push((t, seq, _Stub()))
+        heap.push((t, seq, _noop, ()))
+        cal.push((t, seq, _noop, ()))
     out_heap = [heap.pop()[:2] for _ in range(len(times))]
     out_cal = [cal.pop()[:2] for _ in range(len(times))]
     assert out_cal == out_heap == sorted(out_heap)
@@ -104,16 +113,13 @@ def test_calendar_resize_preserves_order():
     """Push past MIN_RESIZE_POPULATION so the bucket width adapts
     mid-stream; the pop order must survive the rebucketing."""
 
-    class _Stub:
-        cancelled = False
-
     cal = CalendarEventQueue()
     entries = []
     # Two scales of timestamp so the adapted width differs wildly from
     # the initial one.
     for seq in range(3000):
         t = (seq * 7919 % 1000) * (1e4 if seq % 3 else 0.01)
-        entries.append((float(t), seq, _Stub()))
+        entries.append((float(t), seq, _noop, ()))
         cal.push(entries[-1])
     assert cal.resizes >= 1
     popped = [cal.pop()[:2] for _ in range(len(entries))]
@@ -177,23 +183,26 @@ def test_schedule_at_never_perturbs_timestamps(base, offset):
 #
 # ``Simulator.run()`` with no options pops straight off the heap in a
 # fused loop; ``run(max_events=k)`` and ``step()`` take the general
-# loop.  A script seeds a few events; each fired event then performs
-# actions drawn from the script: schedule children (at the same instant
-# or later, relative or absolute), cancel an earlier event (possibly one
-# that already fired), or cancel itself.
+# loop.  A script seeds a few events, plain or timers; each fired event
+# then performs actions drawn from the script: schedule children (plain
+# or timers, at the same instant or later, relative or absolute), cancel
+# an earlier timer (possibly one that already fired), or cancel itself
+# (a no-op for a plain event, which cannot be cancelled).
 
 _ACTIONS = st.lists(
     st.one_of(
-        st.tuples(st.just("child"),
+        st.tuples(st.sampled_from(["child", "timer"]),
                   st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 250.0])),
-        st.tuples(st.just("child_at"), st.sampled_from([0.0, 2.0, 7.5])),
+        st.tuples(st.sampled_from(["child_at", "timer_at"]),
+                  st.sampled_from([0.0, 2.0, 7.5])),
         st.tuples(st.just("cancel"), st.integers(0, 50)),
         st.tuples(st.just("self_cancel"), st.just(0)),
     ),
     min_size=1, max_size=4)
 
 _SCRIPTS = st.tuples(
-    st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0, 40.0]),
+    st.lists(st.tuples(st.sampled_from([0.0, 0.0, 1.0, 2.0, 5.0, 40.0]),
+                       st.booleans()),
              min_size=1, max_size=12),
     st.lists(_ACTIONS, min_size=1, max_size=12),
     st.integers(0, 3),
@@ -210,29 +219,38 @@ def _cascade(script, scheduler: str, drive: str, chunk: int = 1):
     seeds, plans, depth_cap = script
     sim = Simulator(scheduler=scheduler)
     log = []
-    events = []
+    seqs = []       # per event: the sequence number it was queued under
+    timers = []     # per event: its Event when a timer, else None
+
+    def add(kind, when, depth):
+        index = len(seqs)
+        seqs.append(sim.seq_allocated)
+        timer = None
+        if kind == "child":
+            sim.schedule(when, fire, index, depth)
+        elif kind == "child_at":
+            sim.schedule_at(sim.now + when, fire, index, depth)
+        elif kind == "timer":
+            timer = sim.timer(when, fire, index, depth)
+        else:
+            timer = sim.timer_at(sim.now + when, fire, index, depth)
+        timers.append(timer)
 
     def fire(index, depth):
-        ev = events[index]
-        log.append((sim.now, ev.seq))
+        log.append((sim.now, seqs[index]))
         for kind, value in plans[index % len(plans)]:
-            if kind in ("child", "child_at"):
-                if depth >= depth_cap or len(events) >= _EVENT_BUDGET:
-                    continue
-                child = len(events)
-                if kind == "child":
-                    events.append(sim.schedule(value, fire, child,
-                                               depth + 1))
-                else:
-                    events.append(sim.schedule_at(sim.now + value, fire,
-                                                  child, depth + 1))
-            elif kind == "cancel":
-                events[value % len(events)].cancel()
-            else:
-                ev.cancel()
+            if kind == "cancel":
+                armed = [t for t in timers if t is not None]
+                if armed:
+                    armed[value % len(armed)].cancel()
+            elif kind == "self_cancel":
+                if timers[index] is not None:
+                    timers[index].cancel()
+            elif depth < depth_cap and len(seqs) < _EVENT_BUDGET:
+                add(kind, value, depth + 1)
 
-    for delay in seeds:
-        events.append(sim.schedule(delay, fire, len(events), 0))
+    for delay, timer in seeds:
+        add("timer" if timer else "child", delay, 0)
     if drive == "run":
         sim.run()
     elif drive == "chunks":

@@ -117,6 +117,6 @@ def test_sibling_events_do_not_leak_causes():
 
 def test_events_without_a_recorder_carry_no_cause():
     sim = Simulator()
-    ev = sim.schedule(1.0, lambda: None)
+    ev = sim.timer(1.0, lambda: None)
     assert ev.cause == NO_CAUSE
     sim.run()

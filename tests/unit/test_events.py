@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.common.events import Simulator
+from repro.common.events import Event, Simulator
 from repro.common.errors import SimulationError
 
 
@@ -37,7 +37,7 @@ def test_schedule_in_the_past_raises():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(5.0, fired.append, "dead")
+    ev = sim.timer(5.0, fired.append, "dead")
     sim.schedule(6.0, fired.append, "alive")
     ev.cancel()
     sim.run()
@@ -46,7 +46,7 @@ def test_cancelled_event_does_not_fire():
 
 def test_cancel_is_idempotent():
     sim = Simulator()
-    ev = sim.schedule(1.0, lambda: None)
+    ev = sim.timer(1.0, lambda: None)
     ev.cancel()
     ev.cancel()
     sim.run()
@@ -110,7 +110,7 @@ def test_step_returns_false_when_empty():
 
 def test_drain_cancelled_compacts_queue():
     sim = Simulator()
-    evs = [sim.schedule(float(i), lambda: None) for i in range(10)]
+    evs = [sim.timer(float(i), lambda: None) for i in range(10)]
     for ev in evs[:8]:
         ev.cancel()
     sim.drain_cancelled()
@@ -179,7 +179,7 @@ def test_run_restores_the_collector_when_a_callback_raises(
 @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 def test_cancelling_a_fired_event_counts_nothing(scheduler):
     sim = Simulator(scheduler=scheduler)
-    ev = sim.schedule(1.0, lambda: None)
+    ev = sim.timer(1.0, lambda: None)
     sim.run()
     ev.cancel()
     assert ev.cancelled
@@ -201,8 +201,8 @@ def test_self_cancel_inside_callback_counts_nothing(scheduler, drive):
         own[name].cancel()
         fractions.append(sim.cancelled_fraction())
 
-    own["a"] = sim.schedule(1.0, self_cancel, "a")
-    own["b"] = sim.schedule(2.0, self_cancel, "b")
+    own["a"] = sim.timer(1.0, self_cancel, "a")
+    own["b"] = sim.timer(2.0, self_cancel, "b")
     sim.schedule(3.0, lambda: None)
     if drive == "run":
         sim.run(until=2.5)
@@ -218,7 +218,7 @@ def test_self_cancel_inside_callback_counts_nothing(scheduler, drive):
 
 def test_cancelled_pending_counts_queued_cancels_until_skipped():
     sim = Simulator(scheduler="heap")
-    dead = sim.schedule(1.0, lambda: None)
+    dead = sim.timer(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     dead.cancel()
     assert sim.cancelled_pending() == 1
@@ -228,7 +228,7 @@ def test_cancelled_pending_counts_queued_cancels_until_skipped():
 
 
 def test_schedule_at_with_reserved_seq_orders_by_reservation():
-    """An event queued under a reserved sequence number fires where one
+    """A timer queued under a reserved sequence number fires where one
     scheduled at the reservation would have, among same-instant events."""
     sim = Simulator(scheduler="heap")
     fired = []
@@ -236,7 +236,70 @@ def test_schedule_at_with_reserved_seq_orders_by_reservation():
     reserved = sim.seq_allocated
     sim.advance_seq(1)
     sim.schedule_at(5.0, fired.append, "third")
-    sim.schedule_at(5.0, fired.append, "second", seq=reserved)
+    sim.timer_at(5.0, fired.append, "second", seq=reserved)
     sim.run()
     assert fired == ["first", "second", "third"]
     assert sim.seq_allocated == 3
+
+
+# Queue entries -------------------------------------------------------
+
+
+def test_schedule_queues_a_plain_tuple_and_returns_none():
+    """A plain event is the tuple ``(time, seq, callback, args)``; no
+    Event object is built for it."""
+    sim = Simulator(scheduler="heap")
+    fired = []
+    assert sim.schedule(2.0, fired.append, "a") is None
+    assert sim.schedule_at(1.0, fired.append, "b") is None
+    assert sorted(sim._heap) == [(1.0, 1, fired.append, ("b",)),
+                                 (2.0, 0, fired.append, ("a",))]
+    sim.run()
+    assert fired == ["b", "a"]
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+def test_timer_returns_an_event_on_a_timer_entry(scheduler):
+    """A timer is queued as ``(time, seq, None, event)``; the event fires
+    its callback, and cancelling it after it fired counts nothing."""
+    sim = Simulator(scheduler=scheduler)
+    fired = []
+    ev = sim.timer(3.0, fired.append, "t")
+    at = sim.timer_at(4.0, fired.append, "u")
+    assert isinstance(ev, Event) and isinstance(at, Event)
+    assert (ev.time, ev.seq, ev.args) == (3.0, 0, ("t",))
+    assert (at.time, at.seq, at.args) == (4.0, 1, ("u",))
+    assert sim._queue.peek() == (3.0, 0, None, ev)
+    sim.run()
+    assert fired == ["t", "u"]
+    ev.cancel()
+    at.cancel()
+    assert sim.cancelled_pending() == 0
+
+
+def test_cancelled_timer_is_skipped_among_plain_events():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    dead = sim.timer(1.0, fired.append, "dead")
+    sim.schedule_at(1.0, fired.append, "b")
+    dead.cancel()
+    sim.run()
+    assert fired == ["a", "b"]
+    assert sim.events_processed == 2 and sim.cancelled_pending() == 0
+
+
+@pytest.mark.parametrize("arm", [
+    lambda sim, bad: sim.schedule(bad, lambda: None),
+    lambda sim, bad: sim.schedule_at(bad, lambda: None),
+    lambda sim, bad: sim.timer(bad, lambda: None),
+    lambda sim, bad: sim.timer_at(bad, lambda: None),
+], ids=["schedule", "schedule_at", "timer", "timer_at"])
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+def test_scheduling_rejects_nan_and_past_times(arm, bad):
+    """NaN passes ``x < 0`` and ``x < now``; a NaN event would leave the
+    clock at NaN, after which no monotonicity check can fire."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        arm(sim, bad)
+    assert sim.pending() == 0 and sim.now == 0.0

@@ -181,3 +181,11 @@ def test_peak_queue_depth():
     assert link.peak_queue_depth >= 4
     sim.run()
     assert link.queue_depth() == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.5])
+def test_bandwidth_factor_rejects_nan_and_non_positive(bad):
+    sim = Simulator()
+    link, _ = make_link(sim)
+    with pytest.raises(SimulationError):
+        link.set_bandwidth_factor(bad)

@@ -241,17 +241,17 @@ class TestTimeoutTimer:
         touches = []
         timer_schedules = []
         touch, evict = unit._touch, unit._evict
-        schedule, schedule_at = sim.schedule, sim.schedule_at
+        timer, timer_at = sim.timer, sim.timer_at
 
-        def counting_schedule(delay, callback, *args):
+        def counting_timer(delay, callback, *args):
             if callback == unit._on_timeout:
                 timer_schedules.append(sim.now)
-            return schedule(delay, callback, *args)
+            return timer(delay, callback, *args)
 
-        def counting_schedule_at(time, callback, *args, **kwargs):
+        def counting_timer_at(time, callback, *args, **kwargs):
             if callback == unit._on_timeout:
                 timer_schedules.append(sim.now)
-            return schedule_at(time, callback, *args, **kwargs)
+            return timer_at(time, callback, *args, **kwargs)
 
         def logged_touch(switch, entry):
             touches.append(sim.now)
@@ -268,8 +268,8 @@ class TestTimeoutTimer:
             log.append(("evict", reason, sim.now))
             evict(switch, entry, reason)
 
-        sim.schedule = counting_schedule
-        sim.schedule_at = counting_schedule_at
+        sim.timer = counting_timer
+        sim.timer_at = counting_timer_at
         unit._touch = logged_touch
         unit._evict = logged_evict
         f.reduce(0, addr, 1.0, expected=3)

@@ -216,7 +216,7 @@ def test_owner_key_shapes():
 
 def test_simulator_auto_compacts_when_cancelled_dominate():
     sim = Simulator()
-    events = [sim.schedule(1000.0 + i, lambda: None) for i in range(200)]
+    events = [sim.timer(1000.0 + i, lambda: None) for i in range(200)]
     for ev in events[:150]:
         ev.cancel()
     assert sim.cancelled_pending() == 150
@@ -229,7 +229,7 @@ def test_simulator_auto_compacts_when_cancelled_dominate():
 
 def test_simulator_skips_compaction_for_small_queues():
     sim = Simulator()
-    events = [sim.schedule(10.0 + i, lambda: None) for i in range(10)]
+    events = [sim.timer(10.0 + i, lambda: None) for i in range(10)]
     for ev in events[:8]:
         ev.cancel()
     sim.schedule(1.0, lambda: None)
@@ -252,7 +252,7 @@ def test_simulator_publishes_engine_gauges():
 
 def test_cancelled_count_tracks_pops():
     sim = Simulator()
-    ev = sim.schedule(5.0, lambda: None)
+    ev = sim.timer(5.0, lambda: None)
     ev.cancel()
     sim.schedule(6.0, lambda: None)
     sim.run()

@@ -83,6 +83,34 @@ class TestConfig:
         spec = config.GpuSpec()
         assert spec.sustained_tensor_flops_per_ns() > 0
 
+    @pytest.mark.parametrize("spec, field", [
+        (config.LinkSpec, "latency_ns"),
+        (config.SwitchSpec, "hop_latency_ns"),
+        (config.GpuSpec, "hbm_latency_ns"),
+        (config.GpuSpec, "kernel_launch_overhead_ns"),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_delays(self, spec, field, bad):
+        """Each field becomes an event delay: a NaN latency used to run to
+        ``makespan_ns = nan`` with no error."""
+        with pytest.raises(ConfigError, match=f"{spec.__name__}.{field}"):
+            spec(**{field: bad})
+        assert getattr(spec(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0,
+                                     -450.0])
+    def test_rejects_bad_link_bandwidth(self, bad):
+        """Zero used to divide by zero in the link and a negative rate to
+        end a transmission before it started."""
+        with pytest.raises(ConfigError, match="LinkSpec.bandwidth_gbps"):
+            config.LinkSpec(bandwidth_gbps=bad)
+
+    def test_bad_link_spec_fails_before_the_run(self):
+        from dataclasses import replace
+        cfg = config.dgx_h100_config()
+        with pytest.raises(ConfigError, match="LinkSpec.latency_ns"):
+            replace(cfg, link=replace(cfg.link, latency_ns=float("nan")))
+
 
 class TestRng:
     def test_streams_reproducible(self):

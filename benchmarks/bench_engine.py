@@ -43,17 +43,12 @@ from repro.llm.models import TABLE_I
 HEADLINE = "TP-NVLS"
 
 LAYERS = {
-    "calendar_queue": dict(calendar_queue=True, link_windows=False,
-                           analytic_collectives=False,
-                           analytic_kernels=False),
-    "link_windows": dict(calendar_queue=False, link_windows=True,
-                         analytic_collectives=False,
+    "link_windows": dict(link_windows=True, analytic_collectives=False,
                          analytic_kernels=False),
-    "analytic_collectives": dict(calendar_queue=False, link_windows=False,
+    "analytic_collectives": dict(link_windows=False,
                                  analytic_collectives=True,
                                  analytic_kernels=False),
-    "analytic_kernels": dict(calendar_queue=False, link_windows=False,
-                             analytic_collectives=False,
+    "analytic_kernels": dict(link_windows=False, analytic_collectives=False,
                              analytic_kernels=True),
 }
 

@@ -36,11 +36,9 @@ SYSTEMS = ("CoCoNet", "FuseLib", "CoCoNet-NVLS", "FuseLib-NVLS")
 MODELS = ("Mega-GPT-4B", "LLaMA-7B")
 SEEDS = (1, 5)
 KERNELS_ONLY = fastpath.FastPathConfig(
-    calendar_queue=False, link_windows=False,
-    analytic_collectives=False, analytic_kernels=True)
+    link_windows=False, analytic_collectives=False, analytic_kernels=True)
 HOP_ONLY = fastpath.FastPathConfig(
-    calendar_queue=False, link_windows=True,
-    analytic_collectives=False, analytic_kernels=False)
+    link_windows=True, analytic_collectives=False, analytic_kernels=False)
 
 
 def _physics(res):

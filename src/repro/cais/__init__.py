@@ -16,7 +16,6 @@ from .compiler import (
     reset_group_ids,
 )
 from .coordination import (
-    CreditThrottle,
     GroupSyncTable,
     SyncPhase,
     plane_for_group,
@@ -37,7 +36,6 @@ __all__ = [
     "mnemonic",
     "CompiledKernel",
     "Const",
-    "CreditThrottle",
     "Env",
     "Expr",
     "GpuId",

@@ -12,19 +12,16 @@ merge unit sees them within one table-entry lifetime:
 * **GPU-side synchronizer** protocol helpers: the actual module lives with
   the GPU model (:mod:`repro.gpu.synchronizer`); here we define the plane
   mapping that makes all GPUs of a group converge on one switch.
-* **TB-aware request throttling**: a credit window on outstanding mergeable
-  sessions per GPU.  A GPU running ahead of its peers exhausts its credits
-  (its sessions cannot retire until peers contribute) and stalls, letting
-  the others catch up — driven by the switch's per-address tracking state
-  (the merge unit's completion credits).
+* **TB-aware request throttling**: a region's home GPU, whose reduction
+  contributions are free local adds, joins the pre-access barrier too, so
+  it cannot run a whole region ahead of its peers (``Executor.tb_throttle``).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.errors import ProtocolError
 from ..interconnect.message import Message, Op, gpu_node
@@ -149,42 +146,3 @@ class GroupSyncTable:
             if key in self._states:     # a release may cascade
                 self.timeout_releases += 1
                 self._release(switch, key, state)
-
-
-class CreditThrottle:
-    """Per-GPU window of outstanding mergeable sessions.
-
-    ``acquire`` either grants a credit immediately or queues the continuation
-    until a credit is released (the merge unit's completion CREDIT arrives).
-    """
-
-    def __init__(self, window: int):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
-        self._in_flight = 0
-        self._waiting: Deque[Callable[[], None]] = deque()
-        self.stalls = 0
-
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
-    def acquire(self, on_granted: Callable[[], None]) -> None:
-        """Run ``on_granted`` now if a credit is free, else queue it."""
-        if self._in_flight < self.window:
-            self._in_flight += 1
-            on_granted()
-        else:
-            self.stalls += 1
-            self._waiting.append(on_granted)
-
-    def release(self) -> None:
-        """Return one credit; wakes the oldest queued issuer if any."""
-        if self._in_flight <= 0:
-            raise ProtocolError("credit released that was never acquired")
-        if self._waiting:
-            # Hand the credit straight to the next issuer.
-            self._waiting.popleft()()
-        else:
-            self._in_flight -= 1

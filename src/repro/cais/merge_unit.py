@@ -20,13 +20,14 @@ Micro-function 2 (reduction request merging): contributions to the same
 address accumulate in the switch; when all expected requests arrived a single
 combined write is sent to the home GPU.
 
-Capacity is accounted in 128-byte entries per port (40 KB = 320 entries by
-default).  When an allocation does not fit, an LRU eviction fires:
-reduction entries are evicted by flushing their *partial* sum to the home
-GPU; ``Load-Ready`` entries are dropped; ``Load-Wait`` entries are deferred
-(marked evict-on-ready) and the arriving request **bypasses** the merge unit
-instead, avoiding thrashing and deadlock.  A per-entry timeout provides
-forward progress exactly as in NVLS.
+Capacity is accounted per port in entries of ``SwitchSpec.merge_entry_bytes``
+(40 KB = 320 entries of 128 B by default).  When an allocation does not
+fit, an LRU eviction fires: reduction entries are evicted by flushing their
+*partial* sum to the home GPU; ``Load-Ready`` entries are dropped;
+``Load-Wait`` entries are deferred (marked evict-on-ready) and the arriving
+request **bypasses** the merge unit instead, avoiding thrashing and
+deadlock.  A per-entry timeout provides forward progress exactly as in
+NVLS.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ class MergeEntry:
     last_access: float
     count: int = 0
     waiters: List[int] = field(default_factory=list)
-    #: GPUs that contributed reduction requests (for credit return).
-    participants: List[int] = field(default_factory=list)
     acc: Any = None                      # reduction accumulator
     cached: Any = None                   # load content array
     charged_entries: int = 0
@@ -105,20 +104,18 @@ class MergeUnit:
     #: In-switch compute unit: an NVLS_FAIL/PLANE_FAIL fault drains it.
     COMPUTE_UNIT = True
 
-    def __init__(self, stats: MergeStats, num_gpus: int,
+    def __init__(self, stats: MergeStats, num_gpus: int, entry_bytes: int,
                  capacity_entries: Optional[int] = 320,
-                 entry_bytes: int = 128,
                  timeout_ns: Optional[float] = 50_000.0,
-                 emit_credits: bool = False,
                  eviction_policy: str = "lru",
                  fault_state=None):
         self.stats = stats
         self.num_gpus = num_gpus
         #: ``None`` means unbounded (used to *measure* required capacity).
         self.capacity_entries = capacity_entries
+        #: Bytes of content array per capacity unit.
         self.entry_bytes = entry_bytes
         self.timeout_ns = timeout_ns
-        self.emit_credits = emit_credits
         if eviction_policy not in ("lru", "fifo"):
             raise ProtocolError(
                 f"unknown eviction policy {eviction_policy!r}")
@@ -378,23 +375,11 @@ class MergeUnit:
             if self.eviction_policy == "lru":
                 table.move_to_end(key)
         entry.count += 1
-        entry.participants.append(msg.src[1])
         entry.acc = combine_payloads(entry.acc, msg.payload)
         if self._cz.enabled:
             # Ambient cause here is the switch-hop node that delivered
             # this contribution; the flush joins all of them.
             entry.cz_contribs.append(self._cz.current)
-        # Second-arrival crediting (TB-aware throttling feedback): a
-        # contribution's credit returns as soon as a *peer matches it* —
-        # so a GPU running ahead (whose requests sit unmatched, it is
-        # "ahead of its peer TBs") exhausts its window and stalls, while
-        # GPUs matching existing sessions are never slowed.
-        if self.emit_credits:
-            if entry.count == 2:
-                self._send_credit(switch, entry, entry.participants[0])
-                self._send_credit(switch, entry, entry.participants[1])
-            elif entry.count > 2:
-                self._send_credit(switch, entry, msg.src[1])
         self._touch(switch, entry)
         if entry.count >= entry.expected:
             self._flush_reduction(switch, entry, partial=False)
@@ -433,11 +418,6 @@ class MergeUnit:
                          meta={"reduced": True, "contributions": 1,
                                "partial": True})
         switch.forward(direct)
-        if self.emit_credits:
-            credit = Message(op=Op.CREDIT, src=switch.node_id,
-                             dst=gpu_node(msg.src[1]), address=msg.address,
-                             meta={"kind": SessionKind.REDUCTION.value})
-            switch.forward(credit)
 
     # ------------------------------------------------------------------
     # Table management: allocation, LRU eviction, timeout
@@ -527,17 +507,6 @@ class MergeUnit:
             self.stats.record_session_wait(entry.first_arrival,
                                            entry.last_access)
         self._entry_close(switch, entry, completed)
-        # A sole contributor's credit returns when its session retires
-        # (completion cannot strand it; eviction/timeout must not either).
-        if self.emit_credits and entry.count == 1 and entry.participants:
-            self._send_credit(switch, entry, entry.participants[0])
-
-    def _send_credit(self, switch: Switch, entry: MergeEntry,
-                     gpu: int) -> None:
-        credit = Message(op=Op.CREDIT, src=switch.node_id,
-                         dst=gpu_node(gpu), address=entry.address,
-                         meta={"kind": entry.kind.value})
-        switch.forward(credit)
 
     def _touch(self, switch: Switch, entry: MergeEntry) -> None:
         """Restart the session's idle timeout.

@@ -81,10 +81,10 @@ class CollectiveFastPath:
     ``fastpath_transport`` (ring/NVLS — LADM's direct-read transport
     mutates per-GPU cache state and is excluded) and only for calls that
     are *provably* isolated and unobserved: no chunk callback, no fault
-    machinery, no functional payloads, no tracing/metrics/causality, a
-    quiescent fabric, and isolation in time, which takes two guards
-    together.  An **empty event queue** means no kernel completion,
-    serving arrival or timer already scheduled can fire during the phase.
+    machinery, no tracing/metrics/causality, a quiescent fabric, and
+    isolation in time, which takes two guards together.  An **empty event
+    queue** means no kernel completion, serving arrival or timer already
+    scheduled can fire during the phase.
     The caller's ``isolated=True`` (the contract of
     ``Executor.launch_kernel``) means nothing else starts before the
     phase completes.  An empty queue alone is not enough: a
@@ -107,7 +107,6 @@ class CollectiveFastPath:
             cfg.analytic_collectives
             and self.transport is not None
             and harness.fault_state is None
-            and not harness.local_values
             and not current_metrics().enabled
             and not current_tracer().enabled
             and not current_causality().enabled)

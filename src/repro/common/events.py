@@ -21,21 +21,14 @@ Design notes
   auto-compacts the queue when they outnumber the live entries.  Under
   causal recording every event must carry its cause, so ``schedule`` and
   ``schedule_at`` queue timer entries there.
-* Two interchangeable queue disciplines sit behind one three-method API
-  (``push``, which returns the new queue length, ``pop`` and ``peek``):
-  the reference binary heap and a calendar queue (bucketed by timestamp).
-  Both fire events in *exactly* the same ``(time, seq)`` order — ``seq``
-  is unique, so tuple comparison never reaches the third element and the
-  order is a total order independent of the container — which keeps every
-  output byte-identical across disciplines (property-tested in
-  ``tests/properties/test_scheduler_equivalence.py``).  The heap is the
-  default; the calendar queue is selected by
-  ``FastPathConfig.calendar_queue`` (:mod:`repro.common.fastpath`).
-* On the heap, :meth:`Simulator.schedule`/:meth:`Simulator.schedule_at`
-  push straight onto the heap list, and :meth:`Simulator.run` without
-  ``until``/``max_events``, profiler or causal recording pops straight off
-  it in one fused loop.  Every other case takes the general loop; both
-  fire the same events in the same order.
+* The queue is one binary heap, a plain list that every method pushes and
+  pops directly.  Events fire in ``(time, seq)`` order: ``seq`` is
+  unique, so tuple comparison never reaches the third element and the
+  order is total.
+* :meth:`Simulator.run` without ``until``/``max_events``, profiler or
+  causal recording pops the heap in one fused loop.  Every other case
+  takes the general loop; both fire the same events in the same order
+  (property-tested in ``tests/properties/test_scheduler_equivalence.py``).
 * :attr:`Simulator.now` is a plain attribute that only the run loops
   write.
 * :meth:`Simulator.run` pauses Python's cyclic garbage collector for its
@@ -50,13 +43,13 @@ from __future__ import annotations
 
 import gc
 from heapq import heapify, heappop, heappush
+from math import inf
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import current_causality, current_metrics, current_profiler
 from ..obs.causality import NO_CAUSE
 from .errors import SimulationError
-from . import fastpath
 
 #: Queues smaller than this are never auto-compacted — the rebuild would
 #: cost more than skipping the handful of dead events.
@@ -121,205 +114,8 @@ def _dead(entry: _Entry) -> bool:
     return entry[2] is None and entry[3].cancelled
 
 
-class HeapEventQueue:
-    """Reference discipline: one binary heap of queue entries."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: _Entry) -> int:
-        heappush(self._heap, entry)
-        return len(self._heap)
-
-    def pop(self) -> _Entry:
-        return heappop(self._heap)
-
-    def peek(self) -> Optional[_Entry]:
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def compact(self) -> None:
-        """Drop cancelled timers; preserves relative order of the rest."""
-        self._heap[:] = [e for e in self._heap if not _dead(e)]
-        heapify(self._heap)
-
-
-class CalendarEventQueue:
-    """Calendar queue: timestamp-bucketed event store with exact ordering.
-
-    Entries are hashed by ``floor(time / width)`` into buckets.  The
-    *current* bucket (every entry at or before the bucket now being
-    drained) is kept as a small binary heap; *future* buckets are plain
-    append-only lists that get heapified wholesale the moment they become
-    current (one O(n) heapify instead of n sifts).  A heap of non-empty
-    bucket indices finds the next bucket, so sparse regions of the
-    timeline cost nothing.  Push is O(1) amortized; pop is O(log b) in the
-    current-bucket occupancy b.
-
-    Ordering is exact by construction: all current-bucket times strictly
-    precede all future-bucket times (equal times share a bucket), and
-    within a bucket the heap orders ``(time, seq)`` tuples — so the pop
-    sequence is identical to the reference heap's for any workload.
-
-    The bucket width adapts: when the population doubles past the last
-    resize point (or collapses below a quarter of it), every entry is
-    rebucketed with ``width = span / population * target_occupancy``, so
-    buckets hold ~:data:`_TARGET_OCCUPANCY` events regardless of the
-    workload's time scale.
-    """
-
-    #: Events per bucket the resize policy aims for.
-    TARGET_OCCUPANCY = 16
-    #: Initial bucket width in ns (matches link/TB event spacing at the
-    #: default fabric scale; adapted after the first resize anyway).
-    INITIAL_WIDTH_NS = 64.0
-    #: Population that triggers the first adaptive resize.
-    MIN_RESIZE_POPULATION = 1024
-
-    __slots__ = ("width", "_cur", "_cur_idx", "_buckets", "_order", "_size",
-                 "_resize_up", "_resize_down", "resizes")
-
-    def __init__(self, width: float = INITIAL_WIDTH_NS) -> None:
-        self.width = width
-        self._cur: List[_Entry] = []        # heap: bucket index <= _cur_idx
-        self._cur_idx = 0
-        self._buckets: Dict[int, List[_Entry]] = {}
-        self._order: List[int] = []         # heap of future bucket indices
-        self._size = 0
-        self._resize_up = self.MIN_RESIZE_POPULATION
-        self._resize_down = -1
-        self.resizes = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: _Entry) -> int:
-        idx = int(entry[0] / self.width)
-        if idx <= self._cur_idx:
-            heappush(self._cur, entry)
-        else:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [entry]
-                heappush(self._order, idx)
-            else:
-                bucket.append(entry)
-        self._size += 1
-        if self._size >= self._resize_up:
-            self._resize()
-        return self._size
-
-    def _advance(self) -> None:
-        """Load the next non-empty future bucket into the current heap."""
-        while not self._cur and self._order:
-            idx = heappop(self._order)
-            bucket = self._buckets.pop(idx, None)
-            if bucket is None:      # stale index left behind by compact()
-                continue
-            heapify(bucket)
-            self._cur = bucket
-            self._cur_idx = idx
-
-    def pop(self) -> _Entry:
-        if not self._cur:
-            self._advance()
-        self._size -= 1
-        if self._size <= self._resize_down:
-            entry = heappop(self._cur)
-            self._resize()
-            return entry
-        return heappop(self._cur)
-
-    def peek(self) -> Optional[_Entry]:
-        if not self._cur:
-            self._advance()
-        cur = self._cur
-        return cur[0] if cur else None
-
-    def compact(self) -> None:
-        """Drop cancelled timers; bucket structure is preserved (empty
-        future buckets leave a stale index that :meth:`_advance` skips)."""
-        cur = [e for e in self._cur if not _dead(e)]
-        heapify(cur)
-        self._cur = cur
-        size = len(cur)
-        for idx in list(self._buckets):
-            bucket = [e for e in self._buckets[idx] if not _dead(e)]
-            if bucket:
-                self._buckets[idx] = bucket
-                size += len(bucket)
-            else:
-                del self._buckets[idx]
-        self._size = size
-
-    def _entries(self) -> List[_Entry]:
-        entries = list(self._cur)
-        for bucket in self._buckets.values():
-            entries.extend(bucket)
-        return entries
-
-    def _resize(self) -> None:
-        """Rebucket everything with a width targeting
-        :data:`TARGET_OCCUPANCY` events per bucket."""
-        entries = self._entries()
-        size = len(entries)
-        self._resize_up = max(2 * size, self.MIN_RESIZE_POPULATION)
-        self._resize_down = size // 4 if size >= 2 * self.MIN_RESIZE_POPULATION else -1
-        if size >= 2:
-            lo = min(e[0] for e in entries)
-            hi = max(e[0] for e in entries)
-            span = hi - lo
-            if span > 0.0:
-                self.width = span * self.TARGET_OCCUPANCY / size
-            lo_idx = int(lo / self.width)
-        else:
-            lo_idx = int(entries[0][0] / self.width) if entries else 0
-        self.resizes += 1
-        self._cur = []
-        self._cur_idx = lo_idx
-        self._buckets = {}
-        self._order = []
-        width = self.width
-        buckets = self._buckets
-        cur = self._cur
-        for entry in entries:
-            idx = int(entry[0] / width)
-            if idx <= lo_idx:
-                cur.append(entry)
-            else:
-                bucket = buckets.get(idx)
-                if bucket is None:
-                    buckets[idx] = [entry]
-                else:
-                    bucket.append(entry)
-        heapify(cur)
-        order = list(buckets)
-        heapify(order)
-        self._order = order
-
-
-def _make_queue(scheduler: str):
-    if scheduler == "calendar":
-        return CalendarEventQueue()
-    if scheduler == "heap":
-        return HeapEventQueue()
-    raise SimulationError(
-        f"unknown scheduler {scheduler!r}; expected 'calendar' or 'heap'")
-
-
 class Simulator:
     """Priority-queue discrete-event simulator.
-
-    ``scheduler`` selects the queue discipline (``"heap"`` or
-    ``"calendar"``); by default it follows the process-global
-    :func:`repro.common.fastpath.config`, whose default is the heap.  Both
-    disciplines fire events in identical order (see module docstring), so
-    the choice never affects simulation output.
 
     Example
     -------
@@ -332,19 +128,14 @@ class Simulator:
     ['b', 'a']
     """
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        if scheduler is None:
-            scheduler = ("calendar" if fastpath.config().calendar_queue
-                         else "heap")
-        self.scheduler = scheduler
+    def __init__(self) -> None:
         #: Current simulation time in nanoseconds.  Only the run loops
         #: write it.
         self.now: float = 0.0
-        self._queue = _make_queue(scheduler)
-        # The heap discipline's list, which scheduling and the fused run
-        # loop push and pop directly; None on the calendar queue.
-        self._heap: Optional[List[_Entry]] = (
-            self._queue._heap if scheduler == "heap" else None)
+        # The event queue: a binary heap of entries.  Its identity never
+        # changes (drain_cancelled compacts it in place), so the run loops
+        # hold it across callbacks.
+        self._heap: List[_Entry] = []
         # Next event sequence number.  A plain int (not itertools.count) so
         # that callers can reserve numbers (seq_allocated + advance_seq)
         # for a timer they queue later with timer_at(..., seq=...).
@@ -374,13 +165,13 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of events still in the queue (including cancelled ones)."""
-        return len(self._queue)
+        return len(self._heap)
 
     def next_time(self) -> Optional[float]:
         """Time of the earliest queued event (cancelled ones included), or
         None when the queue is empty."""
-        entry = self._queue.peek()
-        return None if entry is None else entry[0]
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def cancelled_pending(self) -> int:
         """Cancelled events still occupying queue slots."""
@@ -388,9 +179,9 @@ class Simulator:
 
     def cancelled_fraction(self) -> float:
         """Fraction of the queue occupied by cancelled events."""
-        if not len(self._queue):
+        if not self._heap:
             return 0.0
-        return self._cancelled_live / len(self._queue)
+        return self._cancelled_live / len(self._heap)
 
     @property
     def auto_compactions(self) -> int:
@@ -469,11 +260,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heap = self._heap
-        if heap is None:
-            depth = self._queue.push((time, seq, callback, args))
-        else:
-            heappush(heap, (time, seq, callback, args))
-            depth = len(heap)
+        heappush(heap, (time, seq, callback, args))
+        depth = len(heap)
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
         if (self._cancelled_live * 2 > depth
@@ -498,11 +286,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heap = self._heap
-        if heap is None:
-            depth = self._queue.push((time, seq, callback, args))
-        else:
-            heappush(heap, (time, seq, callback, args))
-            depth = len(heap)
+        heappush(heap, (time, seq, callback, args))
+        depth = len(heap)
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
         if (self._cancelled_live * 2 > depth
@@ -541,7 +326,9 @@ class Simulator:
             seq = self._seq
             self._seq = seq + 1
         ev = Event(time, seq, callback, args, self, self._causality.current)
-        depth = self._queue.push((time, seq, None, ev))
+        heap = self._heap
+        heappush(heap, (time, seq, None, ev))
+        depth = len(heap)
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
         if (self._cancelled_live * 2 > depth
@@ -598,9 +385,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False when the queue is empty."""
-        queue = self._queue
-        while len(queue):
-            entry = queue.pop()
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
             if _dead(entry):
                 self._cancelled_live -= 1
                 continue
@@ -614,12 +401,18 @@ class Simulator:
         """Run until the queue drains, ``until`` ns is reached, or
         ``max_events`` events have fired.
 
-        ``until`` is an absolute simulation time; when the next event lies
-        beyond it the clock is advanced to ``until`` and the loop stops with
-        the event still queued.
+        ``until`` is an absolute simulation time, with ``now <= until <
+        inf``; when the next event lies beyond it the clock is advanced to
+        ``until`` and the loop stops with the event still queued.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
+        # Written so that NaN fails too: a bound behind the clock would
+        # move it backwards, and an infinite one would park it at inf.
+        if until is not None and not self.now <= until < inf:
+            raise SimulationError(
+                f"cannot run until {until} ns: the bound must be finite "
+                f"and >= now (now={self.now})")
         self._running = True
         # No collection could free anything mid-run (module docstring), so
         # the collector would only traverse live simulation state.
@@ -627,14 +420,14 @@ class Simulator:
         gc.disable()
         wall_start = perf_counter()
         try:
-            heap = self._heap
-            if (heap is not None and until is None and max_events is None
+            if (until is None and max_events is None
                     and self._profiler is None and not self._causal):
                 # Fused loop: the common case, popping straight off the
                 # heap.  ``_events_processed`` stays live per event (the
                 # fault watchdog and the analytic collective bypass read
                 # it mid-run), and drain_cancelled() compacts the heap list
                 # in place, so ``heap`` stays valid across callbacks.
+                heap = self._heap
                 while heap:
                     time, _, callback, args = heappop(heap)
                     if callback is None:
@@ -662,43 +455,43 @@ class Simulator:
 
     def _run_general(self, until: Optional[float],
                      max_events: Optional[int]) -> None:
-        """The loop for every discipline and option: ``until``,
-        ``max_events``, the profiler and causal recording."""
-        # The queue object is mutated in place everywhere (drain_cancelled
-        # included), so the local bindings stay valid across callbacks.
-        queue = self._queue
-        peek = queue.peek
-        pop = queue.pop
+        """The loop for every option: ``until``, ``max_events``, the
+        profiler and causal recording."""
+        # drain_cancelled() compacts the heap list in place, so the local
+        # binding stays valid across callbacks.
+        heap = self._heap
         dispatch = self._dispatch
         fired = 0
         while True:
             if max_events is not None and fired >= max_events:
                 return
-            entry = peek()
-            if entry is None:
+            if not heap:
                 break
+            entry = heap[0]
             if _dead(entry):
-                pop()
+                heappop(heap)
                 self._cancelled_live -= 1
                 continue
             if until is not None and entry[0] > until:
                 self.now = until
                 return
-            pop()
+            heappop(heap)
             dispatch(entry)
             fired += 1
-        if until is not None and until > self.now:
+        if until is not None:
             self.now = until
 
     def drain_cancelled(self) -> None:
         """Compact the queue by dropping cancelled events.
 
-        Mutates the queue object and the heap list in place: :meth:`run`
-        holds local references to them across callbacks (which may trigger
-        auto-compaction via :meth:`schedule`), so their identity must never
+        Rebuilds the heap list in place: :meth:`run` holds a local
+        reference to it across callbacks (which may trigger
+        auto-compaction via :meth:`schedule`), so its identity must never
         change.
         """
-        self._queue.compact()
+        heap = self._heap
+        heap[:] = [e for e in heap if not _dead(e)]
+        heapify(heap)
         self._cancelled_live = 0
 
     def publish_metrics(self) -> None:
@@ -707,7 +500,7 @@ class Simulator:
         metrics = self._metrics
         if not metrics.enabled:
             return
-        metrics.gauge("sim.queue_depth").set(len(self._queue))
+        metrics.gauge("sim.queue_depth").set(len(self._heap))
         metrics.gauge("sim.peak_queue_depth").set(self._peak_queue_depth)
         metrics.gauge("sim.cancelled_fraction").set(self.cancelled_fraction())
         metrics.gauge("sim.events_processed").set(self._events_processed)

@@ -1,13 +1,8 @@
 """Global fast-path configuration for the simulation engine.
 
-Four composable acceleration layers (see DESIGN.md §11), each of which is
-*equivalence-preserving* in a precisely stated sense:
+Three composable acceleration layers (see DESIGN.md §11), each of which
+is *equivalence-preserving* in a precisely stated sense:
 
-* ``calendar_queue`` — bucketed event scheduler in
-  :class:`repro.common.events.Simulator`, off by default: it never measured
-  faster than the binary heap, whose push and pop the engine inlines.
-  Fires events in exactly the same ``(time, seq)`` order as the heap, so
-  enabling it never changes any output byte.
 * ``link_windows`` — the fused wire+switch hop
   (:mod:`repro.interconnect.network`): an up link's serialization end
   schedules one event straight to the switch's dispatch at arrival + hop,
@@ -27,10 +22,14 @@ Four composable acceleration layers (see DESIGN.md §11), each of which is
   and busy-integral float is reproduced bit-for-bit with two heap
   operations per thread block instead of two full engine events.
 
-The process-global config is read once per :class:`Simulator`/harness
-construction.  ``repro --no-fastpath`` (or ``REPRO_NO_FASTPATH=1``) forces
-the reference event path everywhere, which is the byte-identity baseline CI
-compares against.
+A fourth field, ``calendar_queue``, accepts only ``False``: the calendar
+queue it once selected never measured faster than the heap and is gone.
+The field stays while the benchmark's leave-one-out ablation names it.
+
+The process-global config is read once per harness construction.
+``repro --no-fastpath`` (or ``REPRO_NO_FASTPATH=1``) forces the reference
+event path everywhere, which is the byte-identity baseline CI compares
+against.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
+
+from .errors import ConfigError
 
 #: Occurrences of a collective signature simulated on the event path
 #: before the analytic bypass may engage: the first calibrates, the
@@ -51,7 +52,7 @@ VALIDATE_OCCURRENCES = 2
 class FastPathConfig:
     """Which acceleration layers are active, plus their tuning knobs."""
 
-    #: Use the calendar-queue scheduler instead of the binary heap.
+    #: Only ``False``: the calendar queue is gone (module docstring).
     calendar_queue: bool = False
     #: Fuse each up link's delivery with its switch's fixed hop.
     link_windows: bool = True
@@ -61,23 +62,28 @@ class FastPathConfig:
     #: (bit-exact replication of the event path, including RNG draws).
     analytic_kernels: bool = True
 
+    def __post_init__(self) -> None:
+        if self.calendar_queue:
+            raise ConfigError(
+                "FastPathConfig.calendar_queue: the calendar queue was "
+                "removed; only False is accepted")
+
     @property
     def any_enabled(self) -> bool:
-        return (self.calendar_queue or self.link_windows
-                or self.analytic_collectives or self.analytic_kernels)
+        return (self.link_windows or self.analytic_collectives
+                or self.analytic_kernels)
 
     def cache_token(self) -> str:
         """Stable fingerprint component for result caches.
 
-        Calendar-queue choice is provably output-invariant so it is *not*
-        part of the token; the other layers change event counts (the
-        fused hop) or skip simulation entirely (analytic), so cached
-        summaries must not be shared across those modes.  An enabled
-        kernel layer reads ``-k2`` since it also replays software
-        pipelines' GEMM partitions, which changed the event counts of
-        the overlap baselines' summaries; an enabled ``link_windows``
-        reads ``w2`` since it no longer batches serialization windows,
-        which changed event counts and some baseline physics.
+        The layers change event counts (the fused hop) or skip simulation
+        entirely (analytic), so cached summaries must not be shared across
+        those modes.  An enabled kernel layer reads ``-k2`` since it also
+        replays software pipelines' GEMM partitions, which changed the
+        event counts of the overlap baselines' summaries; an enabled
+        ``link_windows`` reads ``w2`` since it no longer batches
+        serialization windows, which changed event counts and some
+        baseline physics.
         """
         return (f"fp:w{2 if self.link_windows else 0}"
                 f"-a{int(self.analytic_collectives)}"
@@ -85,8 +91,7 @@ class FastPathConfig:
                 f"-v{VALIDATE_OCCURRENCES}")
 
 
-DISABLED = FastPathConfig(calendar_queue=False, link_windows=False,
-                          analytic_collectives=False,
+DISABLED = FastPathConfig(link_windows=False, analytic_collectives=False,
                           analytic_kernels=False)
 
 

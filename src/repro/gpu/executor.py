@@ -51,12 +51,8 @@ class Executor:
     """Runs kernels across all GPUs of one simulated node."""
 
     def __init__(self, sim: Simulator, config: SystemConfig,
-                 network: Network, local_value_fn=None,
-                 throttle_window: Optional[int] = None,
-                 jitter_enabled: bool = True,
-                 fair_share: bool = False,
-                 reduce_queue_limit: Optional[int] = None,
-                 fault_state=None):
+                 network: Network, jitter_enabled: bool = True,
+                 fair_share: bool = False, fault_state=None):
         self.sim = sim
         self.config = config
         self.network = network
@@ -80,10 +76,7 @@ class Executor:
         for g in range(config.num_gpus):
             policy = (ShuffledPolicy(window, self.rng.stream(f"dispatch-{g}"))
                       if window > 1 else FifoPolicy())
-            gpu = Gpu(sim, g, config.gpu, network, policy=policy,
-                      local_value_fn=local_value_fn,
-                      throttle_window=throttle_window,
-                      reduce_queue_limit=reduce_queue_limit)
+            gpu = Gpu(sim, g, config.gpu, network, policy=policy)
             if fair_share:
                 # Asymmetric kernel overlapping: balance slots across
                 # concurrently ready kernels (CAIS dataflow optimizer).
@@ -93,8 +86,6 @@ class Executor:
             if fault_state is not None:
                 gpu.handlers.append(self._on_red_ack)
             self.gpus.append(gpu)
-        #: Optional reduction-VC dispatch pacing depth (ablation knob).
-        self.reduce_queue_limit = reduce_queue_limit
         #: TB-aware request throttling (paper Section III-B-2): when True,
         #: a TB whose region is homed locally still joins the pre-access
         #: barrier, so a GPU whose contributions are local (and therefore
@@ -622,8 +613,8 @@ class Executor:
                         if op.address.home_gpu != tb.gpu_index]
         if self._tr.enabled and remote_loads:
             self._phase_begin(tb, "remote")
-        # Reductions are fire-and-forget (pacing happened at dispatch
-        # admission); the TB holds its slot only while loads are pending.
+        # Reductions are fire-and-forget; the TB holds its slot only
+        # while loads are pending.
         for op in reduces:
             self._issue_reduce(gpu, op)
         tb.loads_outstanding = len(remote_loads)
@@ -650,36 +641,26 @@ class Executor:
                 rkey = ("red", gpu.index, op.address.home_gpu,
                         op.address.offset, self._red_seq)
                 meta[RKEY_META] = rkey
-            msg = Message(op=Op.RED_CAIS, src=gpu_node(gpu.index),
-                          dst=gpu_node(op.address.home_gpu),
-                          payload_bytes=op.chunk_bytes, address=op.address,
-                          payload=op.payload, meta=meta)
-            # TB-aware throttling: each mergeable request spends a credit;
-            # the switch returns it when a peer's matching request arrives
-            # (second-arrival crediting), so an ahead GPU stalls here.
-            if state is None:
-                gpu.synchronizer.with_credit(lambda m=msg: gpu.send(m))
-            else:
+            gpu.send(Message(op=Op.RED_CAIS, src=gpu_node(gpu.index),
+                             dst=gpu_node(op.address.home_gpu),
+                             payload_bytes=op.chunk_bytes,
+                             address=op.address, payload=op.payload,
+                             meta=meta))
+            if state is not None:
                 # Reliable delivery: the merge unit acks each contribution
-                # by rkey; retransmits bypass the credit window (the credit
-                # was spent by the first copy) and reroute automatically if
-                # the original plane has since failed.
-                def send_tracked(m=msg, op=op, key=rkey) -> None:
-                    gpu.send(m)
+                # by rkey; a retransmit reroutes automatically if the
+                # original plane has since failed.
+                def resend(attempt: int, gpu=gpu, op=op, key=rkey) -> None:
+                    copy = Message(
+                        op=Op.RED_CAIS, src=gpu_node(gpu.index),
+                        dst=gpu_node(op.address.home_gpu),
+                        payload_bytes=op.chunk_bytes,
+                        address=op.address, payload=op.payload,
+                        meta={"expected": op.expected, RKEY_META: key,
+                              "retry": attempt})
+                    gpu.send(copy)
 
-                    def resend(attempt: int) -> None:
-                        copy = Message(
-                            op=Op.RED_CAIS, src=gpu_node(gpu.index),
-                            dst=gpu_node(op.address.home_gpu),
-                            payload_bytes=op.chunk_bytes,
-                            address=op.address, payload=op.payload,
-                            meta={"expected": op.expected, RKEY_META: key,
-                                  "retry": attempt})
-                        gpu.send(copy)
-
-                    state.retransmitter.track(key, resend)
-
-                gpu.synchronizer.with_credit(send_tracked)
+                state.retransmitter.track(rkey, resend)
         elif op.transport is Transport.NVLS:
             msg = Message(op=Op.MULTIMEM_RED, src=gpu_node(gpu.index),
                           dst=gpu_node(op.address.home_gpu),

@@ -9,8 +9,8 @@ every slot.
 
 Messages delivered by the fabric are offered to the registered handlers
 first (collective drivers, fault acks), then routed by op to the
-synchronizer (sync releases, throttle credits) or the memory controller
-(loads, fills, stores, gathers).
+synchronizer (sync releases) or the memory controller (loads, fills,
+stores, gathers).
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ class Gpu:
     """Device model registered as the fabric endpoint for one GPU index."""
 
     def __init__(self, sim: Simulator, index: int, spec: GpuSpec,
-                 network: Network, policy: Optional[DispatchPolicy] = None,
-                 local_value_fn=None, throttle_window: Optional[int] = None,
-                 reduce_queue_limit: Optional[int] = None):
-        #: TB-aware request throttling (paper Section III-B-2): a TB whose
-        #: kernel issues mergeable reductions is not dispatched while this
-        #: GPU's reduction VCs hold >= this many messages, keeping all
-        #: GPUs' request streams in lockstep with the link drain rate.
-        self.reduce_queue_limit = reduce_queue_limit
+                 network: Network, policy: Optional[DispatchPolicy] = None):
         self.sim = sim
         self.index = index
         self.spec = spec
@@ -54,10 +47,8 @@ class Gpu:
         # Sends straight into the fabric, not through this GPU, so the
         # controller holds no reference back to it.
         self.memory = MemoryController(
-            sim, index, spec, send=partial(network.send_from_gpu, index),
-            local_value_fn=local_value_fn)
-        self.synchronizer = Synchronizer(network, index,
-                                         throttle_window=throttle_window)
+            sim, index, spec, send=partial(network.send_from_gpu, index))
+        self.synchronizer = Synchronizer(network, index)
         # Deliveries by op, each bound to the module that consumes it.
         self._routes: Dict[Op, Callable[[Message], None]] = {
             op: MethodType(handler, part)
@@ -72,7 +63,6 @@ class Gpu:
         # here with dispatch priority.
         self._synced: Dict[str, List[ThreadBlock]] = {DEFAULT_POOL: []}
         self._sync_pending: Dict[str, int] = {DEFAULT_POOL: 0}
-        self._pace_armed: Dict[str, bool] = {}
         #: Set by the executor: invoked with a TB when a slot is granted.
         self.on_dispatch: Optional[Callable[[ThreadBlock], None]] = None
         #: Extra message handlers (collective drivers register here); each
@@ -197,11 +187,6 @@ class Gpu:
                     continue
             else:
                 break
-            if not self._admit(tb, pool):
-                # Reduction-VC backlog too deep: defer (with priority) and
-                # retry when the links drain — TB-aware throttling.
-                self._synced[pool].insert(0, tb)
-                break
             self._accrue_busy()
             self._used[pool] += 1
             self.tbs_dispatched += 1
@@ -213,29 +198,6 @@ class Gpu:
                 raise SimulationError(
                     f"GPU {self.index} has no dispatch handler")
             self.on_dispatch(tb)
-
-
-    def _admit(self, tb: ThreadBlock, pool: str) -> bool:
-        """TB-aware throttling gate: pace reducing kernels to link drain."""
-        if (self.reduce_queue_limit is None or
-                tb.kernel.remote_reduces is None):
-            return True
-        from ..interconnect.message import TrafficClass
-        for plane in range(self.network.config.num_switches):
-            link = self.network.up_links[(self.index, plane)]
-            if link.queue_depth(TrafficClass.REDUCTION) >= \
-                    self.reduce_queue_limit:
-                if not self._pace_armed.get(pool):
-                    self._pace_armed[pool] = True
-
-                    def wake(pool=pool) -> None:
-                        self._pace_armed[pool] = False
-                        self._try_dispatch(pool)
-
-                    link.wait_for_room(TrafficClass.REDUCTION,
-                                       self.reduce_queue_limit, wake)
-                return False
-        return True
 
     def _needs_prelaunch_sync(self, tb: ThreadBlock) -> bool:
         return (tb.kernel.sync_prelaunch and not tb.prelaunch_synced and

@@ -9,16 +9,14 @@ schedulers.  It implements the two synchronization points:
 * **pre-access** — a warp hitting its first ``*.cais`` instruction waits
   until all TBs of the group reached the same point.
 
-Both are empty-packet exchanges (one flit each way).  The synchronizer also
-hosts the credit-based request throttle fed by the merge unit's completion
-CREDITs.
+Both are empty-packet exchanges (one flit each way).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..cais.coordination import CreditThrottle, SyncPhase, plane_for_group
+from ..cais.coordination import SyncPhase, plane_for_group
 from ..interconnect.message import Message, Op, gpu_node, switch_node
 from ..interconnect.network import Network
 
@@ -26,14 +24,11 @@ from ..interconnect.network import Network
 class Synchronizer:
     """Per-GPU TB-group synchronization endpoint."""
 
-    def __init__(self, network: Network, gpu_index: int,
-                 throttle_window: Optional[int] = None):
+    def __init__(self, network: Network, gpu_index: int):
         self.network = network
         self.gpu_index = gpu_index
         self._pending: Dict[Tuple[int, SyncPhase],
                             List[Callable[[], None]]] = {}
-        self.throttle = (CreditThrottle(throttle_window)
-                         if throttle_window else None)
         self.syncs_requested = 0
 
     # ------------------------------------------------------------------
@@ -65,16 +60,9 @@ class Synchronizer:
         for cb in self._pending.pop(key, []):
             cb()
 
-    def _on_credit(self, msg: Message) -> None:
-        # The merge unit broadcasts completion credits to every
-        # participant; GPUs that did not issue (e.g. the home GPU of a
-        # load session) simply ignore theirs.
-        if self.throttle is not None and self.throttle.in_flight > 0:
-            self.throttle.release()
-
     #: The ops this module consumes, each with its handler.  The GPU
     #: routes its deliveries by this table (``Gpu.receive``).
-    ROUTES = {Op.SYNC_RELEASE: _on_release, Op.CREDIT: _on_credit}
+    ROUTES = {Op.SYNC_RELEASE: _on_release}
 
     def handle(self, msg: Message) -> bool:
         """Process a control message; True when consumed."""
@@ -83,14 +71,3 @@ class Synchronizer:
             return False
         route(self, msg)
         return True
-
-    # ------------------------------------------------------------------
-    # Throttling
-    # ------------------------------------------------------------------
-    def with_credit(self, issue: Callable[[], None]) -> None:
-        """Run ``issue`` once a throttle credit is available (or at once
-        when throttling is disabled)."""
-        if self.throttle is None:
-            issue()
-        else:
-            self.throttle.acquire(issue)

@@ -64,8 +64,6 @@ class Link:
         #: Per-message drop/corrupt hook: returns True to drop the message
         #: on the wire, or marks it corrupted in place.
         self.fault_hook: Optional[Callable[[Message], bool]] = None
-        # Backpressure waiters: (traffic class, threshold, callback).
-        self._room_waiters: Deque = deque()
         #: Deliveries scheduled but not yet consumed (wire in flight);
         #: :meth:`idle` needs this for network-quiescence checks.
         self.inflight_deliveries = 0
@@ -133,32 +131,6 @@ class Link:
         if traffic_class is not None and self.traffic_control:
             return len(self._queues[traffic_class.vc])
         return self._depth
-
-    def wait_for_room(self, traffic_class: TrafficClass, limit: int,
-                      callback: Callable[[], None]) -> None:
-        """Run ``callback`` once the class's queue is below ``limit``.
-
-        This is the finite-virtual-channel backpressure that CAIS's
-        TB-aware request throttling rides on: an issuing TB stalls while
-        its reduction VC is full, so no GPU's request stream runs ahead of
-        its peers by more than the VC depth.
-        """
-        if limit < 1:
-            raise SimulationError(
-                f"link {self.name}: backpressure limit must be >= 1, "
-                f"got {limit}")
-        if self.queue_depth(traffic_class) < limit:
-            callback()
-        else:
-            self._room_waiters.append((traffic_class, limit, callback))
-
-    def _admit_waiters(self) -> None:
-        while self._room_waiters:
-            traffic_class, limit, callback = self._room_waiters[0]
-            if self.queue_depth(traffic_class) >= limit:
-                return
-            self._room_waiters.popleft()
-            callback()
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -265,10 +237,10 @@ class Link:
         if self._tr.enabled and self._tx_span >= 0:
             self._tr.end(self._tx_span, self.sim.now)
             self._tx_span = -1
-        # Downstream events — the delivery, any retransmission timers the
-        # fault hook arms, and waiters resumed by the link freeing up — are
-        # all caused by this transmission (one message serializes at a
-        # time, so the single saved node id is the right one).
+        # Downstream events — the delivery and any retransmission timers
+        # the fault hook arms — are all caused by this transmission (one
+        # message serializes at a time, so the single saved node id is the
+        # right one).
         if self._cz.enabled:
             self._cz.current = self._cz_tx
         # The fault hook may drop the message on the wire (True) or mark it
@@ -289,5 +261,3 @@ class Link:
                 self.sim.schedule(self.spec.latency_ns,
                                   self._deliver_cb, msg)
         self._start_next()
-        if self._room_waiters:
-            self._admit_waiters()

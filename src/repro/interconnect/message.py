@@ -13,7 +13,7 @@ Operation kinds cover the three protocol families in the paper:
 * NVLS ``multimem`` ops (push multicast store, pull load-reduce, push
   reduce — Fig. 1(g)),
 * CAIS ``*.cais`` ops (the compute-aware ISA extension, Fig. 4), plus the
-  TB-group sync and throttling-credit control packets.
+  TB-group sync control packets.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ class Op(enum.Enum):
     RED_CAIS = "red.cais"
     RED_CAIS_ACK = "red.cais.ack"
 
-    # Control plane: TB-group synchronization and throttling credits.
+    # Control plane: TB-group synchronization.
     SYNC_REQ = "sync.req"
     SYNC_RELEASE = "sync.release"
-    CREDIT = "credit"
 
     # Reliability plane (repro.faults): per-chunk delivery ack for the
     # retransmitting ring collective.

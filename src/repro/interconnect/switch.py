@@ -29,8 +29,8 @@ _MERGE_OPS = frozenset({
     Op.MULTIMEM_LD_REDUCE_RESP, Op.MULTIMEM_RED,
     Op.RED_CAIS, Op.LD_CAIS_REQ, Op.LD_CAIS_RESP,
 })
-#: Control-plane ops: sync/credit handling is barrier machinery.
-_SYNC_OPS = frozenset({Op.SYNC_REQ, Op.SYNC_RELEASE, Op.CREDIT})
+#: Control-plane ops: sync handling is barrier machinery.
+_SYNC_OPS = frozenset({Op.SYNC_REQ, Op.SYNC_RELEASE})
 
 
 def _hop_category(op: Op) -> str:

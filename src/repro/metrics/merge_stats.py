@@ -17,9 +17,15 @@ from typing import Dict, List, Tuple
 
 
 class MergeStats:
-    """Aggregated counters and traces for one run (all ports, all planes)."""
+    """Aggregated counters and traces for one run (all ports, all planes).
 
-    def __init__(self) -> None:
+    ``entry_bytes`` is the size of one capacity unit
+    (``SwitchSpec.merge_entry_bytes``), which turns entry counts into
+    bytes.
+    """
+
+    def __init__(self, entry_bytes: int) -> None:
+        self.entry_bytes = entry_bytes
         self.sessions_completed = 0
         self.requests_merged = 0          # requests that hit an open session
         self.requests_started = 0         # requests that opened a session
@@ -28,7 +34,7 @@ class MergeStats:
         self.timeout_evictions = 0
         self.partial_reductions_emitted = 0
         self._session_waits_ns: List[float] = []
-        # Occupancy in capacity units (128 B entries), per (plane, port).
+        # Occupancy in capacity units, per (plane, port).
         self._occupancy: Dict[Tuple[int, int], int] = {}
         self._peak_entries: Dict[Tuple[int, int], int] = {}
         self._occupancy_trace: List[Tuple[float, int]] = []
@@ -70,9 +76,9 @@ class MergeStats:
         """Worst-case live entries on any single port (Fig. 13a metric)."""
         return max(self._peak_entries.values(), default=0)
 
-    def peak_bytes_per_port(self, entry_bytes: int = 128) -> int:
+    def peak_bytes_per_port(self) -> int:
         """Fig. 13a's 'minimal required Merge Table size' in bytes."""
-        return self.peak_entries_per_port() * entry_bytes
+        return self.peak_entries_per_port() * self.entry_bytes
 
     def occupancy_trace(self) -> List[Tuple[float, int]]:
         """(time, total live entries) transitions, fabric-wide."""

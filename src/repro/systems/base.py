@@ -2,7 +2,7 @@
 
 A :class:`Harness` assembles one simulated node — event engine, fabric,
 switch engines, GPUs/executor — according to a system's feature set (NVLS
-engines? CAIS merge unit? group-sync tables? traffic control? throttling?).
+engines? CAIS merge unit? group-sync tables? traffic control?).
 
 A :class:`BarrierRunner` lowers a logical graph the way the kernel-barrier
 baselines do: on the shared dependency walk
@@ -22,7 +22,7 @@ from ..collectives.analytic import maybe_fastpath
 from ..collectives.nvls_collectives import NvlsCollective
 from ..collectives.ring import RingCollective
 from ..common.config import SystemConfig
-from ..common.errors import SimulationError, WorkloadError
+from ..common.errors import WorkloadError
 from ..common.events import Simulator
 from ..faults import FaultInjector, FaultSchedule, FaultState
 from ..gpu.executor import Executor
@@ -111,11 +111,8 @@ class Harness:
                  merge_eviction_policy: str = "lru",
                  sync_tables: bool = False,
                  traffic_control: bool = False,
-                 throttle_window: Optional[int] = None,
-                 reduce_queue_limit: Optional[int] = None,
                  fair_share: bool = False,
-                 jitter: bool = True,
-                 local_value_fn=None):
+                 jitter: bool = True):
         self.config = config
         self.sim = Simulator()
         # Fast-path opt-in (DESIGN.md §11): fault injection rules out both
@@ -123,9 +120,6 @@ class Harness:
         self.network = Network(self.sim, config,
                                traffic_control=traffic_control,
                                allow_fastpath=not config.faults.enabled)
-        #: Functional payloads force the event path: the analytic bypass
-        #: replays timing and counters, not data values.
-        self.local_values = local_value_fn is not None
         #: Collectives currently observed or replayed by the analytic
         #: fast-path; its eligibility gate requires this to be zero.
         self.fastpath_inflight = 0
@@ -143,7 +137,8 @@ class Harness:
             self.fault_schedule = FaultSchedule.build(config)
         self.merge_stats: Optional[MergeStats] = None
         if merge:
-            self.merge_stats = MergeStats()
+            entry_bytes = config.switch.merge_entry_bytes
+            self.merge_stats = MergeStats(entry_bytes)
             capacity = (config.switch.merge_table_entries
                         if merge_capacity == "spec" else merge_capacity)
             timeout = (config.switch.merge_timeout_ns
@@ -151,8 +146,8 @@ class Harness:
             for sw in self.network.switches:
                 sw.attach_engine(MergeUnit(
                     self.merge_stats, config.num_gpus,
+                    entry_bytes=entry_bytes,
                     capacity_entries=capacity, timeout_ns=timeout,
-                    emit_credits=throttle_window is not None,
                     eviction_policy=merge_eviction_policy,
                     fault_state=self.fault_state))
         if nvls:
@@ -162,11 +157,8 @@ class Harness:
             for sw in self.network.switches:
                 sw.attach_engine(GroupSyncTable())
         self.executor = Executor(self.sim, config, self.network,
-                                 local_value_fn=local_value_fn,
-                                 throttle_window=throttle_window,
                                  jitter_enabled=jitter,
                                  fair_share=fair_share,
-                                 reduce_queue_limit=reduce_queue_limit,
                                  fault_state=self.fault_state)
         self.timeline = Timeline()
         self.executor.timeline = self.timeline

@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional
 from ..cais.dataflow import CaisRunner
 from ..common.config import SystemConfig
 from ..common.errors import WorkloadError
-from ..gpu.remote_ops import Transport
 from ..llm.graph import Graph
 from ..llm.tiling import TilingConfig, reset_tensor_ids
 from ..cais.compiler import reset_group_ids
@@ -42,13 +41,6 @@ from .ladm import DirectComm
 from .overlap import OverlapRunner
 from .t3 import T3Runner
 
-#: Optional per-GPU window of outstanding *unmatched* mergeable requests
-#: (second-arrival crediting).  The shipped CAIS configuration leaves this
-#: off: the home-inclusive pre-access barrier plus the compiler's
-#: home-rotated TB ordering already keep every GPU's request stream in
-#: lockstep (see DESIGN.md, "TB-aware throttling"); the credit window is
-#: retained as an ablation knob.
-CAIS_THROTTLE_WINDOW = None
 #: SM fraction left for compute under software-overlap comm kernels.
 COCONET_COMPUTE_FRACTION = 0.875
 FUSELIB_COMPUTE_FRACTION = 0.94
@@ -290,14 +282,11 @@ class Cais(System):
     traffic_control = True
 
     def _build(self) -> Harness:
-        throttle = CAIS_THROTTLE_WINDOW if self.coordination else None
-        harness = Harness(self.config, merge=True,
-                          sync_tables=self.coordination,
-                          traffic_control=self.traffic_control,
-                          throttle_window=throttle,
-                          fair_share=self.dataflow,
-                          jitter=self.jitter)
-        return harness
+        return Harness(self.config, merge=True,
+                       sync_tables=self.coordination,
+                       traffic_control=self.traffic_control,
+                       fair_share=self.dataflow,
+                       jitter=self.jitter)
 
     def _runner(self, harness: Harness):
         return CaisRunner(harness, tiling=self.tiling,

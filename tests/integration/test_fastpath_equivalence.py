@@ -2,8 +2,6 @@
 
 DESIGN.md §11 states the equivalence contract per layer:
 
-* ``calendar_queue``   — byte-identical (provably; property-tested in
-  ``tests/properties/test_scheduler_equivalence.py``);
 * ``link_windows``     — the fused wire+switch hop: identical physics,
   only event counts differ;
 * ``analytic_collectives`` — exact-float makespans (the bypass replays a
@@ -42,18 +40,15 @@ SYSTEMS = ("TP-NVLS", "CAIS", "CoCoNet", "T3")
 
 #: One config per layer with only that layer enabled, plus all-on.
 LAYER_CONFIGS = {
-    "calendar_queue": fastpath.FastPathConfig(
-        calendar_queue=True, link_windows=False,
-        analytic_collectives=False, analytic_kernels=False),
     "link_windows": fastpath.FastPathConfig(
-        calendar_queue=False, link_windows=True,
-        analytic_collectives=False, analytic_kernels=False),
+        link_windows=True, analytic_collectives=False,
+        analytic_kernels=False),
     "analytic_collectives": fastpath.FastPathConfig(
-        calendar_queue=False, link_windows=False,
-        analytic_collectives=True, analytic_kernels=False),
+        link_windows=False, analytic_collectives=True,
+        analytic_kernels=False),
     "analytic_kernels": fastpath.FastPathConfig(
-        calendar_queue=False, link_windows=False,
-        analytic_collectives=False, analytic_kernels=True),
+        link_windows=False, analytic_collectives=False,
+        analytic_kernels=True),
     "all": fastpath.FastPathConfig(),
 }
 
@@ -415,10 +410,4 @@ def test_sim_task_fingerprint_tracks_fastpath_layers():
         on = task.fingerprint()
     with fastpath.overridden(LAYER_CONFIGS["link_windows"]):
         windows_only = task.fingerprint()
-    with fastpath.overridden(LAYER_CONFIGS["calendar_queue"]):
-        calendar_only = task.fingerprint()
     assert len({off, on, windows_only}) == 3
-    # The calendar queue is output-invariant, so it shares entries with
-    # the all-off baseline... but a calendar-only config still has
-    # any_enabled=True with an all-zero token, distinct from off.
-    assert calendar_only != on

@@ -19,10 +19,12 @@ def _fabric(num_gpus, capacity, timeout):
     cfg = cfg.__class__(**{**cfg.__dict__, "num_gpus": num_gpus,
                            "num_switches": 2})
     net = Network(sim, cfg)
-    stats = MergeStats()
+    entry_bytes = cfg.switch.merge_entry_bytes
+    stats = MergeStats(entry_bytes)
     units = []
     for sw in net.switches:
-        unit = MergeUnit(stats, num_gpus, capacity_entries=capacity,
+        unit = MergeUnit(stats, num_gpus, entry_bytes=entry_bytes,
+                         capacity_entries=capacity,
                          timeout_ns=timeout)
         sw.attach_engine(unit)
         units.append(unit)

@@ -1,13 +1,10 @@
 """Property tests: every way of running the engine fires the same events.
 
-DESIGN.md §11's central claim for the ``calendar_queue`` fast-path layer
-is that it is *provably* output-invariant: both queue disciplines fire
-events in exactly the same ``(time, seq)`` order, so a simulation cannot
-tell which one it ran on.  These tests drive both disciplines through
-randomized schedule/cancel/drain scripts generated by hypothesis and
-require the observable firing sequence to match exactly — including
-through adaptive calendar resizes and auto-compaction.  The same holds
-for the fused ``run()`` loop against ``run(max_events=k)`` and ``step()``.
+The engine fires events in ``(time, seq)`` order, skipping cancelled
+timers.  These tests drive the simulator through randomized
+schedule/cancel/step scripts generated by hypothesis and require the
+observable firing sequence to match a reference queue written here, and
+the fused ``run()`` loop to match ``run(max_events=k)`` and ``step()``.
 Scripts mix plain events with cancellable timers, the two kinds of queue
 entry, and cancel only timers.
 """
@@ -19,11 +16,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.events import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    Simulator,
-)
+from repro.common.events import Simulator
 
 # One scripted operation: (kind, value).
 #   ("push", delay)    — schedule a recording callback `delay` ns ahead
@@ -44,9 +37,10 @@ _OPS = st.lists(
     min_size=1, max_size=60)
 
 
-def _execute(script, scheduler: str):
-    """Run one script on a fresh simulator; returns the firing log."""
-    sim = Simulator(scheduler=scheduler)
+def _execute(script):
+    """Run one script on a fresh simulator; returns the firing log, the
+    final clock and the fired count."""
+    sim = Simulator()
     log = []
     armed = []
 
@@ -79,51 +73,60 @@ def _execute(script, scheduler: str):
     return log, sim.now, sim.events_processed
 
 
+class _Timer:
+    """A reference-queue timer: only its cancelled flag."""
+
+    cancelled = False
+
+
+def _reference(script):
+    """The same script on a reference queue: a plain list, fired in
+    ``(time, seq)`` order, skipping cancelled timers.  ``seq`` counts
+    pushes, so it is also the tag ``_execute`` logs."""
+    now = 0.0
+    queue = []      # (time, seq, _Timer or None)
+    armed = []
+    log = []
+
+    def step():
+        nonlocal now
+        while queue:
+            entry = min(queue, key=lambda e: e[:2])
+            queue.remove(entry)
+            time, seq, timer = entry
+            if timer is not None and timer.cancelled:
+                continue
+            now = time
+            log.append((now, seq))
+            return True
+        return False
+
+    seq = 0
+    for kind, value in script:
+        if kind in ("push", "push_at", "timer", "timer_at"):
+            timer = None
+            if kind.startswith("timer"):
+                timer = _Timer()
+                armed.append(timer)
+            queue.append((now + value, seq, timer))
+            seq += 1
+        elif kind == "cancel":
+            live = [t for t in armed if not t.cancelled]
+            if live:
+                live[value % len(live)].cancelled = True
+        elif kind == "run":
+            for _ in range(value):
+                if not step():
+                    break
+    while step():
+        pass
+    return log, now, len(log)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_OPS)
-def test_calendar_and_heap_fire_identically(script):
-    heap_log, heap_now, heap_n = _execute(script, "heap")
-    cal_log, cal_now, cal_n = _execute(script, "calendar")
-    assert cal_log == heap_log
-    assert cal_now == heap_now
-    assert cal_n == heap_n
-
-
-def _noop():
-    """Callback of the raw-queue tests' plain entries (never fired)."""
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=1e9,
-                          allow_nan=False, allow_infinity=False),
-                min_size=2, max_size=400))
-def test_queue_disciplines_pop_identical_entries(times):
-    """Raw queue level: any push multiset pops in the same total order."""
-
-    heap, cal = HeapEventQueue(), CalendarEventQueue()
-    for seq, t in enumerate(times):
-        heap.push((t, seq, _noop, ()))
-        cal.push((t, seq, _noop, ()))
-    out_heap = [heap.pop()[:2] for _ in range(len(times))]
-    out_cal = [cal.pop()[:2] for _ in range(len(times))]
-    assert out_cal == out_heap == sorted(out_heap)
-
-
-def test_calendar_resize_preserves_order():
-    """Push past MIN_RESIZE_POPULATION so the bucket width adapts
-    mid-stream; the pop order must survive the rebucketing."""
-
-    cal = CalendarEventQueue()
-    entries = []
-    # Two scales of timestamp so the adapted width differs wildly from
-    # the initial one.
-    for seq in range(3000):
-        t = (seq * 7919 % 1000) * (1e4 if seq % 3 else 0.01)
-        entries.append((float(t), seq, _noop, ()))
-        cal.push(entries[-1])
-    assert cal.resizes >= 1
-    popped = [cal.pop()[:2] for _ in range(len(entries))]
-    assert popped == sorted(e[:2] for e in entries)
+def test_simulator_fires_like_a_reference_queue(script):
+    assert _execute(script) == _reference(script)
 
 
 def test_schedule_at_avoids_cumulative_drift():
@@ -145,18 +148,17 @@ def test_schedule_at_avoids_cumulative_drift():
         drifted = drifted or (acc != t)
     assert drifted
 
-    for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
-        fired = []
+    sim = Simulator()
+    fired = []
 
-        def tick(k):
-            fired.append(sim.now)
-            if k + 1 < len(targets):
-                sim.schedule_at(targets[k + 1], tick, k + 1)
+    def tick(k):
+        fired.append(sim.now)
+        if k + 1 < len(targets):
+            sim.schedule_at(targets[k + 1], tick, k + 1)
 
-        sim.schedule_at(targets[0], tick, 0)
-        sim.run()
-        assert fired == targets
+    sim.schedule_at(targets[0], tick, 0)
+    sim.run()
+    assert fired == targets
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,17 +168,16 @@ def test_schedule_at_avoids_cumulative_drift():
                  allow_nan=False, allow_infinity=False))
 def test_schedule_at_never_perturbs_timestamps(base, offset):
     """For arbitrary (base, offset), an event scheduled at an absolute
-    time fires at *exactly* that float — both disciplines."""
+    time fires at *exactly* that float."""
     target = base + offset  # an arbitrary representable float >= base
     assert not math.isnan(target)
-    for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
-        fired = []
-        sim.schedule(base, lambda: None)   # advance the clock first
-        sim.run()
-        sim.schedule_at(target, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [target]
+    sim = Simulator()
+    fired = []
+    sim.schedule(base, lambda: None)   # advance the clock first
+    sim.run()
+    sim.schedule_at(target, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [target]
 
 
 # Fused run loop vs the general loop -----------------------------------
@@ -212,12 +213,12 @@ _SCRIPTS = st.tuples(
 _EVENT_BUDGET = 120
 
 
-def _cascade(script, scheduler: str, drive: str, chunk: int = 1):
+def _cascade(script, drive: str, chunk: int = 1):
     """Fire ``script`` run one of three ways; returns the firing log
     of ``(time, seq)`` pairs, the final clock, the fired count and the
     cancelled-pending count left on the drained queue."""
     seeds, plans, depth_cap = script
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     log = []
     seqs = []       # per event: the sequence number it was queued under
     timers = []     # per event: its Event when a timer, else None
@@ -265,8 +266,7 @@ def _cascade(script, scheduler: str, drive: str, chunk: int = 1):
 @settings(max_examples=200, deadline=None)
 @given(_SCRIPTS, st.integers(1, 5))
 def test_fused_loop_fires_like_the_general_loop(script, chunk):
-    fused = _cascade(script, "heap", "run")
+    fused = _cascade(script, "run")
     assert fused[3] == 0      # a drained queue holds no cancelled events
-    assert _cascade(script, "heap", "chunks", chunk) == fused
-    assert _cascade(script, "heap", "step") == fused
-    assert _cascade(script, "calendar", "run") == fused
+    assert _cascade(script, "chunks", chunk) == fused
+    assert _cascade(script, "step") == fused

@@ -1,9 +1,8 @@
-"""Unit tests for TB-group synchronization and request throttling."""
+"""Unit tests for TB-group synchronization."""
 
 import pytest
 
-from repro.cais.coordination import (
-    CreditThrottle, GroupSyncTable, SyncPhase, plane_for_group)
+from repro.cais.coordination import GroupSyncTable, SyncPhase, plane_for_group
 from repro.common.config import dgx_h100_config
 from repro.common.errors import ProtocolError
 from repro.common.events import Simulator
@@ -129,42 +128,3 @@ class TestPlaneForGroup:
     def test_invalid_planes(self):
         with pytest.raises(ValueError):
             plane_for_group(1, 0)
-
-
-class TestCreditThrottle:
-    def test_grants_up_to_window(self):
-        t = CreditThrottle(window=2)
-        granted = []
-        t.acquire(lambda: granted.append(1))
-        t.acquire(lambda: granted.append(2))
-        t.acquire(lambda: granted.append(3))
-        assert granted == [1, 2]
-        assert t.stalls == 1
-
-    def test_release_wakes_waiter(self):
-        t = CreditThrottle(window=1)
-        granted = []
-        t.acquire(lambda: granted.append("a"))
-        t.acquire(lambda: granted.append("b"))
-        t.release()
-        assert granted == ["a", "b"]
-        assert t.in_flight == 1
-
-    def test_release_without_acquire_raises(self):
-        t = CreditThrottle(window=1)
-        with pytest.raises(ProtocolError):
-            t.release()
-
-    def test_fifo_wake_order(self):
-        t = CreditThrottle(window=1)
-        granted = []
-        t.acquire(lambda: granted.append(0))
-        for i in (1, 2, 3):
-            t.acquire(lambda i=i: granted.append(i))
-        t.release()
-        t.release()
-        assert granted == [0, 1, 2]
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            CreditThrottle(window=0)

@@ -86,6 +86,29 @@ def test_run_until_advances_clock_when_queue_empty():
     assert sim.now == 123.0
 
 
+@pytest.mark.parametrize("until, queued", [
+    (3.0, True), (float("inf"), False), (float("nan"), True),
+], ids=["behind-now", "inf", "nan"])
+def test_run_until_rejects_a_bound_behind_the_clock_or_not_finite(
+        until, queued):
+    """A bound behind the clock would move it backwards, ``inf`` would
+    park it at infinity for every later schedule, and NaN would run with
+    no bound at all: each raises, naming the value, and leaves the
+    simulator as it was."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(10.0, fired.append, "first")
+    sim.run()
+    if queued:
+        sim.schedule(5.0, fired.append, "next")
+    with pytest.raises(SimulationError, match=str(until)):
+        sim.run(until=until)
+    assert sim.now == 10.0
+    assert fired == ["first"]
+    sim.run()
+    assert fired == (["first", "next"] if queued else ["first"])
+
+
 def test_run_max_events_limits_work():
     sim = Simulator()
     fired = []
@@ -176,9 +199,8 @@ def test_run_restores_the_collector_when_a_callback_raises(
     assert gc.isenabled()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_cancelling_a_fired_event_counts_nothing(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_cancelling_a_fired_event_counts_nothing():
+    sim = Simulator()
     ev = sim.timer(1.0, lambda: None)
     sim.run()
     ev.cancel()
@@ -187,13 +209,12 @@ def test_cancelling_a_fired_event_counts_nothing(scheduler):
     assert sim.cancelled_fraction() == 0.0
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 @pytest.mark.parametrize("drive", ["run", "run_max", "step"])
-def test_self_cancel_inside_callback_counts_nothing(scheduler, drive):
+def test_self_cancel_inside_callback_counts_nothing(drive):
     """Two events cancel themselves while a third is still queued: the
     queue holds no cancelled event, so the fraction must read 0 (it read
     2.0 when fired events were counted)."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     own = {}
     fractions = []
 
@@ -217,7 +238,7 @@ def test_self_cancel_inside_callback_counts_nothing(scheduler, drive):
 
 
 def test_cancelled_pending_counts_queued_cancels_until_skipped():
-    sim = Simulator(scheduler="heap")
+    sim = Simulator()
     dead = sim.timer(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     dead.cancel()
@@ -230,7 +251,7 @@ def test_cancelled_pending_counts_queued_cancels_until_skipped():
 def test_schedule_at_with_reserved_seq_orders_by_reservation():
     """A timer queued under a reserved sequence number fires where one
     scheduled at the reservation would have, among same-instant events."""
-    sim = Simulator(scheduler="heap")
+    sim = Simulator()
     fired = []
     sim.schedule_at(5.0, fired.append, "first")
     reserved = sim.seq_allocated
@@ -248,7 +269,7 @@ def test_schedule_at_with_reserved_seq_orders_by_reservation():
 def test_schedule_queues_a_plain_tuple_and_returns_none():
     """A plain event is the tuple ``(time, seq, callback, args)``; no
     Event object is built for it."""
-    sim = Simulator(scheduler="heap")
+    sim = Simulator()
     fired = []
     assert sim.schedule(2.0, fired.append, "a") is None
     assert sim.schedule_at(1.0, fired.append, "b") is None
@@ -258,18 +279,17 @@ def test_schedule_queues_a_plain_tuple_and_returns_none():
     assert fired == ["b", "a"]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_timer_returns_an_event_on_a_timer_entry(scheduler):
+def test_timer_returns_an_event_on_a_timer_entry():
     """A timer is queued as ``(time, seq, None, event)``; the event fires
     its callback, and cancelling it after it fired counts nothing."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     fired = []
     ev = sim.timer(3.0, fired.append, "t")
     at = sim.timer_at(4.0, fired.append, "u")
     assert isinstance(ev, Event) and isinstance(at, Event)
     assert (ev.time, ev.seq, ev.args) == (3.0, 0, ("t",))
     assert (at.time, at.seq, at.args) == (4.0, 1, ("u",))
-    assert sim._queue.peek() == (3.0, 0, None, ev)
+    assert sim._heap[0] == (3.0, 0, None, ev)
     sim.run()
     assert fired == ["t", "u"]
     ev.cancel()

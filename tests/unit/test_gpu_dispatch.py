@@ -1,5 +1,5 @@
-"""Unit tests for GPU dispatch machinery: parking, pacing, fair share,
-link backpressure, and slot-occupancy accounting."""
+"""Unit tests for GPU dispatch machinery: parking, fair share, per-class
+link queue depth, and slot-occupancy accounting."""
 
 import numpy as np
 import pytest
@@ -70,32 +70,6 @@ class TestLinkBackpressure:
     def data(self, op=Op.RED_CAIS, nbytes=128):
         return Message(op, gpu_node(0), gpu_node(1), payload_bytes=nbytes)
 
-    def test_wait_for_room_immediate_when_below(self):
-        sim, link = self.make_link()
-        fired = []
-        link.wait_for_room(TrafficClass.REDUCTION, 2, lambda: fired.append(1))
-        assert fired == [1]
-
-    def test_wait_for_room_fires_after_drain(self):
-        sim, link = self.make_link()
-        for _ in range(4):
-            link.send(self.data())
-        fired = []
-        link.wait_for_room(TrafficClass.REDUCTION, 2, lambda: fired.append(1))
-        assert not fired
-        sim.run()
-        assert fired == [1]
-
-    def test_waiters_fifo_order(self):
-        sim, link = self.make_link()
-        for _ in range(5):
-            link.send(self.data())
-        fired = []
-        link.wait_for_room(TrafficClass.REDUCTION, 3, lambda: fired.append("a"))
-        link.wait_for_room(TrafficClass.REDUCTION, 3, lambda: fired.append("b"))
-        sim.run()
-        assert fired == ["a", "b"]
-
     def test_per_class_queue_depth(self):
         sim, link = self.make_link()
         link.send(self.data(Op.RED_CAIS))
@@ -104,12 +78,6 @@ class TestLinkBackpressure:
         assert link.queue_depth(TrafficClass.REDUCTION) == 1
         assert link.queue_depth(TrafficClass.LOAD) == 1
         assert link.queue_depth() == 2
-
-    def test_invalid_limit(self):
-        from repro.common.errors import SimulationError
-        sim, link = self.make_link()
-        with pytest.raises(SimulationError):
-            link.wait_for_room(TrafficClass.REDUCTION, 0, lambda: None)
 
 
 class TestSlotOccupancy:

@@ -20,26 +20,23 @@ from repro.metrics.merge_stats import MergeStats
 
 
 def make_system(num_gpus=2, num_switches=1, num_sms=4, jitter=True,
-                merge=False, sync_table=False, throttle_window=None,
-                seed=3):
+                merge=False, sync_table=False, seed=3):
     sim = Simulator()
     cfg = dgx_h100_config(num_gpus=num_gpus, seed=seed)
     cfg = cfg.__class__(**{**cfg.__dict__, "num_gpus": num_gpus,
                            "num_switches": num_switches,
                            "gpu": GpuSpec(num_sms=num_sms)})
     net = Network(sim, cfg)
-    stats = MergeStats()
+    stats = MergeStats(cfg.switch.merge_entry_bytes)
     if merge:
         for sw in net.switches:
-            sw.attach_engine(MergeUnit(stats, num_gpus,
-                                       capacity_entries=None,
-                                       timeout_ns=None,
-                                       emit_credits=bool(throttle_window)))
+            sw.attach_engine(MergeUnit(
+                stats, num_gpus, entry_bytes=cfg.switch.merge_entry_bytes,
+                capacity_entries=None, timeout_ns=None))
     if sync_table:
         for sw in net.switches:
             sw.attach_engine(GroupSyncTable())
-    ex = Executor(sim, cfg, net, jitter_enabled=jitter,
-                  throttle_window=throttle_window)
+    ex = Executor(sim, cfg, net, jitter_enabled=jitter)
     return sim, net, ex, stats
 
 
@@ -119,8 +116,8 @@ class TestKernelReplayOrder:
     among the events queued for the same instant."""
 
     KERNELS_ONLY = fastpath.FastPathConfig(
-        calendar_queue=False, link_windows=False,
-        analytic_collectives=False, analytic_kernels=True)
+        link_windows=False, analytic_collectives=False,
+        analytic_kernels=True)
 
     @staticmethod
     def kernel(post_ns):
@@ -342,21 +339,6 @@ class TestCoordination:
             ex.run()
             waits[coord] = stats.average_wait_ns()
         assert waits[True] < waits[False]
-
-    def test_throttle_credits_do_not_deadlock(self):
-        sim, net, ex, stats = make_system(num_gpus=4, jitter=False,
-                                          merge=True, throttle_window=2)
-
-        def reduces(gpu, bidx):
-            return [RemoteOp(RemoteOpKind.REDUCE, Address(3, b * 1024), 1024,
-                             transport=Transport.CAIS, expected=3)
-                    for b in range(bidx[0], bidx[0] + 1)]
-        k = KernelInstance("rs", grid=(8,), tb_pre_ns=10.0,
-                           remote_reduces=reduces)
-        ex.launch_kernel(k)
-        ex.run()
-        assert ex.tbs_completed == 32
-        assert stats.sessions_completed == 8
 
 
 class TestPools:

@@ -136,32 +136,13 @@ def test_per_class_depth_and_room_on_traffic_control_link():
     link.send(Message(Op.LD_CAIS_RESP, gpu_node(0), gpu_node(1),
                       payload_bytes=128))
     for _ in range(2):
-        link.send(Message(Op.CREDIT, gpu_node(0), gpu_node(1)))
+        link.send(Message(Op.SYNC_REQ, gpu_node(0), gpu_node(1)))
     depths = {tc: link.queue_depth(tc) for tc in TrafficClass}
     assert depths == {TrafficClass.REDUCTION: 3, TrafficClass.LOAD: 1,
                       TrafficClass.CONTROL: 2}
     assert link.queue_depth() == 6
-    fired = []
-    link.wait_for_room(TrafficClass.LOAD, 1, lambda: fired.append(
-        ("load", sim.now)))
-    link.wait_for_room(TrafficClass.REDUCTION, 2, lambda: fired.append(
-        ("reduction", sim.now)))
-    # The LOAD message leaves its queue when the second service starts
-    # (after the control flit at 160 ns); the REDUCTION queue first drops
-    # below 2 when its third message starts, after the second control
-    # flit (464 ns).
     sim.run()
-    assert fired == [("load", 160.0), ("reduction", 464.0)]
     assert link.queue_depth() == 0 and link.idle()
-
-
-def test_wait_for_room_rejects_bad_limit_naming_link_and_value():
-    sim = Simulator()
-    link, _ = make_link(sim, traffic_control=True)
-    with pytest.raises(SimulationError,
-                       match=r"link test: backpressure limit must be >= 1, "
-                             r"got 0"):
-        link.wait_for_room(TrafficClass.REDUCTION, 0, lambda: None)
 
 
 def test_tracker_records_bytes():

@@ -207,8 +207,3 @@ class TestSynchronizer:
             sync.request_sync(7, SyncPhase.LAUNCH, 4, lambda: None)
         sim.run()
         assert sorted(fired) == [1, 2]
-
-    def test_spurious_credit_ignored_without_throttle(self):
-        sim, syncs = self.make()
-        msg = Message(Op.CREDIT, ("sw", 0), gpu_node(0))
-        assert syncs[0].handle(msg) is True   # consumed, harmless

@@ -50,7 +50,6 @@ def test_negative_payload_rejected():
     (Op.MULTIMEM_ST, TrafficClass.REDUCTION),
     (Op.STORE, TrafficClass.REDUCTION),
     (Op.SYNC_REQ, TrafficClass.CONTROL),
-    (Op.CREDIT, TrafficClass.CONTROL),
 ])
 def test_traffic_class_assignment(op, expected):
     msg = Message(op, gpu_node(0), switch_node(0))

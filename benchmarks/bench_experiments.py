@@ -84,7 +84,7 @@ def main() -> None:
         one_run(ExecContext(jobs=1, cache=SimCache(cache_dir)))
         obs.install(metrics=obs.MetricsRegistry())
         try:
-            metrics = obs.current_metrics()
+            metrics = obs.current().metrics
             report["cached"] = timed(
                 "cached",
                 lambda: ExecContext(jobs=1, cache=SimCache(cache_dir)),

@@ -2,9 +2,9 @@
 """Measure the observability layer's overhead on real CAIS runs.
 
 The design contract (DESIGN.md, "Observability") is *zero-cost when
-disabled*: instrumented hot paths hold a reference to the installed
-tracer/registry and guard every record with one ``enabled`` attribute
-read, so a run without ``--trace``/``--metrics`` should be within noise
+disabled*: instrumented hot paths capture the installed tracer/registry
+at construction (``None`` when off) and guard every record with one
+``is not None`` test, so a run without ``--trace``/``--metrics`` should be within noise
 of a build that never had instrumentation.  This benchmark quantifies
 both sides on two workloads:
 
@@ -23,7 +23,7 @@ both sides on two workloads:
   summaries are *identical* (same makespans, same event counts) with
   telemetry on and off — the zero-event contract at matrix scale.
 
-In both modes the **disabled** configuration runs with the null sinks
+In both modes the **disabled** configuration runs with no sinks
 installed (the default); the serving mode additionally checks the
 stronger half of the contract — the sinks add **zero simulation
 events**, so an enabled run is simulation-identical (same makespan,
@@ -88,7 +88,7 @@ def sublayer_run(traced: bool) -> float:
 def serving_run(mode: str):
     """(wall seconds, makespan_ns, sim events) for one serving run.
 
-    ``mode``: ``disabled`` (null sinks), ``sinks`` (TimeSeriesSink +
+    ``mode``: ``disabled`` (no sinks), ``sinks`` (TimeSeriesSink +
     RequestLog — the budgeted configuration), or ``report`` (the full
     ``repro report`` stack including the causality recorder).
     """

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 
 from . import obs
-from .common import fastpath
-from .common.config import FaultSpec, dgx_h100_config
+from .common.config import dgx_h100_config
+from .experiments.cli import add_run_flags, apply_run_flags
 from .experiments.runner import Scale, layer_graphs, sublayer_for
 from .llm.models import TABLE_I, by_name
 from .llm.tiling import TilingConfig
@@ -94,32 +93,12 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write a Chrome/Perfetto trace of the run "
                              "(open at ui.perfetto.dev)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the metrics snapshot as JSON")
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write the metrics snapshot to PATH")
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="force the reference event path everywhere "
-                             "(disables every engine fast-path layer; "
-                             "see DESIGN.md §11)")
     parser.add_argument("--profile", action="store_true",
                         help="print a host-time hotspot profile of the "
                              "simulator's event loop")
-    parser.add_argument("--ledger", nargs="?", const=".repro_ledger",
-                        default=None, metavar="DIR",
-                        help="append this run's record to the cross-run "
-                             "ledger (default when given bare: %(const)s; "
-                             "see `python -m repro ledger`)")
-    parser.add_argument("--faults", action="store_true",
-                        help="inject a deterministic fault schedule into "
-                             "the run (retries/fallbacks appear in the "
-                             "report details)")
-    parser.add_argument("--fault-seed", type=int, default=0, metavar="S",
-                        help="fault-schedule seed (default: %(default)s)")
-    parser.add_argument("--fault-intensity", type=float, default=1.0,
-                        metavar="X",
-                        help="fault intensity in [0,1] "
-                             "(default: %(default)s)")
+    add_run_flags(parser)
     parser.add_argument("--admission", default="none",
                         choices=("none", "shed", "defer"),
                         help="serving workload: SLO-aware admission "
@@ -149,10 +128,7 @@ def main(argv=None) -> int:
     if args.admission != "none" and args.slo_ttft_ms is None:
         parser.error("--admission requires --slo-ttft-ms")
 
-    if args.no_fastpath:
-        os.environ["REPRO_NO_FASTPATH"] = "1"
-        fastpath.disable_all()
-
+    fault_spec = apply_run_flags(args)
     if args.list:
         print("systems:", ", ".join(sorted(SYSTEM_CLASSES)))
         print("models: ", ", ".join(sorted(TABLE_I) + ["LLaMA-full"]))
@@ -168,20 +144,17 @@ def main(argv=None) -> int:
     # A trace gets the causal DAG recorded too, so the exported file
     # carries the critical-path row and its flow arrows.
     causality = obs.CausalityRecorder() if args.trace else None
-    obs.install(tracer=tracer, metrics=metrics, profiler=profiler,
-                causality=causality)
 
     config = dgx_h100_config(num_gpus=args.gpus, seed=args.seed)
     if args.faults:
-        config = config.with_faults(FaultSpec(
-            enabled=True, intensity=args.fault_intensity,
-            fault_seed=args.fault_seed))
+        config = config.with_faults(fault_spec)
     scale = Scale(tokens_fraction=args.scale,
                   tiling=TilingConfig(chunk_bytes=32768,
                                       red_chunk_bytes=8192))
     model = scale.apply(by_name(args.model))
-    system = make_system(args.system, config, tiling=scale.tiling)
-    try:
+    with obs.installed(tracer=tracer, metrics=metrics, profiler=profiler,
+                       causality=causality):
+        system = make_system(args.system, config, tiling=scale.tiling)
         run_started = time.perf_counter()
         spec = None
         graphs = []
@@ -205,8 +178,6 @@ def main(argv=None) -> int:
                 **({"admission_policy": args.admission,
                     "slo_ttft_ms": args.slo_ttft_ms}
                    if args.admission != "none" else {})))
-            if args.ledger:
-                os.environ[obs.LEDGER_ENV] = args.ledger
             result = run_fleet(args.system, fleet, config=config,
                                scale=scale)
             print(format_fleet_summary(result))
@@ -285,8 +256,6 @@ def main(argv=None) -> int:
                 print(payload)
         if profiler is not None:
             print(profiler.report())
-    finally:
-        obs.reset()
     return 0
 
 

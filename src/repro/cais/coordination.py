@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..common.errors import ProtocolError
 from ..interconnect.message import Message, Op, gpu_node
 from ..interconnect.switch import Switch
-from ..obs import current_causality
+from .. import obs
 from ..obs.causality import BARRIER_SYNC
 
 
@@ -70,7 +70,7 @@ class GroupSyncTable:
         self._states: Dict[Tuple[int, SyncPhase], _SyncState] = {}
         self.releases_broadcast = 0
         self.timeout_releases = 0
-        self._cz = current_causality()
+        self._cz = obs.current().causality
 
     def process(self, switch: Switch, msg: Message, in_port: int) -> bool:
         if msg.op is not Op.SYNC_REQ:
@@ -91,7 +91,7 @@ class GroupSyncTable:
                 f"group {msg.group_id} expected-count mismatch: "
                 f"{state.expected} vs {expected}")
         state.arrived.add(msg.src[1])
-        if self._cz.enabled:
+        if self._cz is not None:
             state.cz_arrivals.append(self._cz.current)
         if len(state.arrived) >= state.expected:
             self._release(switch, key, state)
@@ -104,7 +104,7 @@ class GroupSyncTable:
             state.timer.cancel()
         self.releases_broadcast += 1
         group_id, phase = key
-        if self._cz.enabled:
+        if self._cz is not None:
             # The release broadcast is caused by every registered arrival;
             # the critical-path walk follows the last one in.
             now = switch.sim.now

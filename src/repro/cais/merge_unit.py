@@ -44,7 +44,7 @@ from ..faults.retry import RKEY_META
 from ..interconnect.message import Address, Message, Op, gpu_node
 from ..interconnect.switch import Switch
 from ..metrics.merge_stats import MergeStats
-from ..obs import current_causality, current_metrics, current_tracer
+from .. import obs
 from ..obs.causality import SWITCH_MERGE
 
 
@@ -131,9 +131,10 @@ class MergeUnit:
         self._fault_state = fault_state
         self.draining = False
         self._stale_fills: set = set()
-        self._tr = current_tracer()
-        self._mx = current_metrics()
-        self._cz = current_causality()
+        sinks = obs.current()
+        self._tr = sinks.tracer
+        self._mx = sinks.metrics
+        self._cz = sinks.causality
         self._next_aid = 0
         # (switch index, port) -> track: one trace row per merge-table bank.
         self._bank_tracks: Dict[Tuple[int, int], int] = {}
@@ -151,9 +152,9 @@ class MergeUnit:
         return track
 
     def _entry_open(self, switch: Switch, entry: MergeEntry) -> None:
-        if self._mx.enabled:
+        if self._mx is not None:
             self._mx.counter("cais.merge.allocs").inc()
-        if not self._tr.enabled:
+        if self._tr is None:
             return
         entry.obs_aid = self._next_aid
         self._next_aid += 1
@@ -166,13 +167,13 @@ class MergeUnit:
 
     def _entry_close(self, switch: Switch, entry: MergeEntry,
                      completed: bool) -> None:
-        if self._mx.enabled:
+        if self._mx is not None:
             if completed:
                 self._mx.histogram("cais.merge.session_wait_ns").record(
                     entry.last_access - entry.first_arrival)
             else:
                 self._mx.counter("cais.merge.evictions").inc()
-        if self._tr.enabled and entry.obs_aid >= 0:
+        if self._tr is not None and entry.obs_aid >= 0:
             self._tr.async_end(
                 self._bank_track(switch, entry.home),
                 f"merge {entry.kind.value}", entry.obs_aid,
@@ -261,7 +262,7 @@ class MergeUnit:
             return
 
         self.stats.requests_merged += 1
-        if self._mx.enabled:
+        if self._mx is not None:
             self._mx.counter("cais.merge.hits").inc()
         entry.count += 1
         self._touch(switch, entry)
@@ -324,7 +325,7 @@ class MergeUnit:
     def _bypass_load(self, switch: Switch, msg: Message, requester: int,
                      chunk: int) -> None:
         self.stats.bypasses += 1
-        if self._mx.enabled:
+        if self._mx is not None:
             self._mx.counter("cais.merge.bypasses").inc()
         direct = Message(op=Op.LOAD_REQ, src=msg.src,
                          dst=gpu_node(msg.address.home_gpu),
@@ -370,13 +371,13 @@ class MergeUnit:
             self.stats.requests_started += 1
         else:
             self.stats.requests_merged += 1
-            if self._mx.enabled:
+            if self._mx is not None:
                 self._mx.counter("cais.merge.hits").inc()
             if self.eviction_policy == "lru":
                 table.move_to_end(key)
         entry.count += 1
         entry.acc = combine_payloads(entry.acc, msg.payload)
-        if self._cz.enabled:
+        if self._cz is not None:
             # Ambient cause here is the switch-hop node that delivered
             # this contribution; the flush joins all of them.
             entry.cz_contribs.append(self._cz.current)
@@ -387,7 +388,7 @@ class MergeUnit:
 
     def _flush_reduction(self, switch: Switch, entry: MergeEntry,
                          partial: bool) -> None:
-        if self._cz.enabled:
+        if self._cz is not None:
             # Zero-duration join node: the combined write is caused by
             # *every* contribution; the critical-path walk follows the
             # latest-arriving one (the straggler).
@@ -409,7 +410,7 @@ class MergeUnit:
 
     def _bypass_reduction(self, switch: Switch, msg: Message) -> None:
         self.stats.bypasses += 1
-        if self._mx.enabled:
+        if self._mx is not None:
             self._mx.counter("cais.merge.bypasses").inc()
         direct = Message(op=Op.STORE, src=msg.src,
                          dst=gpu_node(msg.address.home_gpu),

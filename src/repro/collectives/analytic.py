@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..common import fastpath
 from ..interconnect.message import _msg_ids
-from ..obs import current_causality, current_metrics, current_tracer
+from .. import obs
 from . import ring as _ring_mod
 from . import nvls_collectives as _nvls_mod
 
@@ -103,13 +103,14 @@ class CollectiveFastPath:
         self.transport: Optional[str] = getattr(
             comm, "fastpath_transport", None)
         cfg = fastpath.config()
+        sinks = obs.current()
         self.enabled = (
             cfg.analytic_collectives
             and self.transport is not None
             and harness.fault_state is None
-            and not current_metrics().enabled
-            and not current_tracer().enabled
-            and not current_causality().enabled)
+            and sinks.metrics is None
+            and sinks.tracer is None
+            and sinks.causality is None)
         self._chunk_bytes = getattr(comm, "chunk_bytes", 0)
         # The table lives on the harness (one simulated node), so a run's
         # event count is a deterministic function of the run alone — a

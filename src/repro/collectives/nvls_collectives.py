@@ -25,7 +25,7 @@ from ..common.functional import combine_payloads
 from ..gpu.gpu import Gpu
 from ..interconnect.message import Address, Message, Op, gpu_node
 from ..interconnect.network import Network
-from ..obs import current_causality
+from .. import obs
 from ..obs.causality import BARRIER_SYNC
 from ..common.ids import IdAllocator
 
@@ -80,7 +80,7 @@ class NvlsCollective:
         # that its callbacks are dropped as soon as it completes.
         self._runs: Dict[int, _Run] = {}
         self._finished_at: Dict[int, float] = {}
-        self._cz = current_causality()
+        self._cz = obs.current().causality
         # Runs aborted by fault handling: late in-flight messages for them
         # are swallowed instead of crashing the run lookup.
         self._aborted: set = set()
@@ -259,7 +259,7 @@ class NvlsCollective:
         if run.remaining == 0:
             del self._runs[run_id]
             self._finished_at[run_id] = self.sim.now
-            if self._cz.enabled:
+            if self._cz is not None:
                 # Completion marker: the run finishes when its last chunk
                 # lands — ambient cause is that delivery.
                 now = self.sim.now

@@ -29,7 +29,7 @@ from ..gpu.gpu import Gpu
 from ..interconnect.message import (CORRUPTED_META, Message, Op, gpu_node,
                                     is_corrupted)
 from ..interconnect.network import Network
-from ..obs import current_causality
+from .. import obs
 from ..obs.causality import BARRIER_SYNC
 from ..common.ids import IdAllocator
 
@@ -77,7 +77,7 @@ class RingCollective:
         # that its callbacks are dropped as soon as it completes.
         self._runs: Dict[int, _Run] = {}
         self._finished_at: Dict[int, float] = {}
-        self._cz = current_causality()
+        self._cz = obs.current().causality
         # Fault-injection state (repro.faults): when present, every chunk
         # hop is tracked by the ack/retransmit protocol — the receiver acks
         # each hop by rkey, deduplicates redeliveries, and discards
@@ -259,7 +259,7 @@ class RingCollective:
         if run.remaining == 0:
             del self._runs[run_id]
             self._finished_at[run_id] = self.sim.now
-            if self._cz.enabled:
+            if self._cz is not None:
                 # Completion marker: the run finishes when its last chunk
                 # lands — ambient cause is that delivery.
                 now = self.sim.now

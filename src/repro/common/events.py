@@ -47,7 +47,7 @@ from math import inf
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..obs import current_causality, current_metrics, current_profiler
+from .. import obs
 from ..obs.causality import NO_CAUSE
 from .errors import SimulationError
 
@@ -148,12 +148,13 @@ class Simulator:
         self._wall_seconds = 0.0
         self._work_reporters: List[Callable[[], Optional[str]]] = []
         # Observability hooks, captured at construction (install first).
-        self._profiler = current_profiler()
-        self._metrics = current_metrics()
-        self._causality = current_causality()
+        sinks = obs.current()
+        self._profiler = sinks.profiler
+        self._metrics = sinks.metrics
+        self._causality = sinks.causality
         # Causal recording stamps every event with its cause, which only
         # a timer entry carries (module docstring).
-        self._causal = self._causality.enabled
+        self._causal = self._causality is not None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -325,7 +326,8 @@ class Simulator:
         if seq is None:
             seq = self._seq
             self._seq = seq + 1
-        ev = Event(time, seq, callback, args, self, self._causality.current)
+        ev = Event(time, seq, callback, args, self,
+                   self._causality.current if self._causal else NO_CAUSE)
         heap = self._heap
         heappush(heap, (time, seq, None, ev))
         depth = len(heap)
@@ -353,7 +355,7 @@ class Simulator:
         dragging them through every push and pop."""
         self.drain_cancelled()
         self._auto_compactions += 1
-        if self._metrics.enabled:
+        if self._metrics is not None:
             self._metrics.counter("sim.auto_compactions").inc()
 
     # ------------------------------------------------------------------
@@ -498,7 +500,7 @@ class Simulator:
         """Export engine health gauges to the metrics registry (no-op when
         metrics are disabled)."""
         metrics = self._metrics
-        if not metrics.enabled:
+        if metrics is None:
             return
         metrics.gauge("sim.queue_depth").set(len(self._heap))
         metrics.gauge("sim.peak_queue_depth").set(self._peak_queue_depth)

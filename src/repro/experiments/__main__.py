@@ -45,10 +45,9 @@ from . import (
     table2_scaling_validation,
 )
 from .. import obs
-from ..common import fastpath
-from ..common.config import FaultSpec
 from ..hw.area import overhead_report
 from .cache import SimCache
+from .cli import add_run_flags, apply_run_flags
 from .parallel import ExecContext
 from .runner import DEFAULT, FULL, QUICK, Scale
 
@@ -175,29 +174,7 @@ def main(argv=None) -> int:
                         metavar="DIR",
                         help="simulation-reuse cache location "
                              "(default: %(default)s)")
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="force the reference event path everywhere "
-                             "(disables every engine fast-path layer; the "
-                             "byte-identity baseline, see DESIGN.md §11)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the metrics snapshot (cache hits/"
-                             "misses, task wall times) after the tables")
-    parser.add_argument("--faults", action="store_true",
-                        help="inject faults into every simulation that is "
-                             "not already faulted (see README, 'Fault "
-                             "injection & resilience')")
-    parser.add_argument("--fault-seed", type=int, default=0, metavar="S",
-                        help="fault-schedule seed (default: %(default)s)")
-    parser.add_argument("--fault-intensity", type=float, default=1.0,
-                        metavar="X",
-                        help="fault intensity in [0,1] "
-                             "(default: %(default)s)")
-    parser.add_argument("--ledger", nargs="?", const=".repro_ledger",
-                        default=None, metavar="DIR",
-                        help="append one run record per completed "
-                             "simulation to this ledger directory "
-                             "(default when given bare: %(const)s; see "
-                             "`python -m repro ledger`)")
+    add_run_flags(parser)
     parser.add_argument("--progress", action="store_true",
                         help="live stderr progress board for matrix "
                              "sweeps (done/total, cache hit rate, ETA)")
@@ -218,37 +195,20 @@ def main(argv=None) -> int:
         parser.error("--report is only meaningful for fig19, "
                      "fig20_serving, fig21 and fig22")
 
-    if args.no_fastpath:
-        # The env var (not just set_config) so that pool workers spawned
-        # by run_matrix inherit the choice regardless of start method.
-        os.environ["REPRO_NO_FASTPATH"] = "1"
-        fastpath.disable_all()
-    if args.ledger:
-        # Same env-var pattern: pool workers inherit the ledger root and
-        # append their own records (see obs/ledger.py).
-        os.environ[obs.LEDGER_ENV] = args.ledger
-
+    fault_spec = apply_run_flags(args)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         parser.error(f"--jobs must be >= 1, got {jobs}")
     cache = None if args.no_cache else SimCache(args.cache_dir)
-    fault_spec = None
-    if args.faults or args.fault_seed or args.fault_intensity != 1.0:
-        fault_spec = FaultSpec(enabled=args.faults,
-                               intensity=args.fault_intensity,
-                               fault_seed=args.fault_seed)
     ctx = ExecContext(jobs=jobs, cache=cache, fault_spec=fault_spec,
                       progress=args.progress, meta_trace=args.meta_trace)
 
     metrics = obs.MetricsRegistry() if args.metrics else None
-    if metrics is not None:
-        obs.install(metrics=metrics)
-
     scale = QUICK if args.quick else (FULL if args.full else DEFAULT)
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     blocks = []
-    try:
+    with obs.installed(metrics=metrics):
         for name in names:
             start = time.time()
             text = EXPERIMENTS[name](scale, ctx)
@@ -268,9 +228,6 @@ def main(argv=None) -> int:
             print(f"report: {args.report}")
         if metrics is not None:
             print(metrics.to_json())
-    finally:
-        if metrics is not None:
-            obs.reset()
     return 0
 
 

@@ -43,7 +43,7 @@ def explain_runs(model_name: str, workload: str, systems: List[str],
 
     Each run gets a fresh :class:`~repro.obs.causality.CausalityRecorder`,
     installed before the harness is built (components capture the recorder
-    at construction) and uninstalled afterwards.
+    at construction); the caller's sinks are restored afterwards.
     """
     config = dgx_h100_config(num_gpus=gpus, seed=seed)
     run_scale = Scale(tokens_fraction=scale,
@@ -53,13 +53,9 @@ def explain_runs(model_name: str, workload: str, systems: List[str],
     paths: List[Tuple[str, CriticalPath]] = []
     for system in systems:
         graphs = [sublayer_for(model, gpus, system, workload)]
-        recorder = obs.CausalityRecorder()
-        obs.install(causality=recorder)
-        try:
+        with obs.installed(causality=obs.CausalityRecorder()):
             result = make_system(system, config,
                                  tiling=run_scale.tiling).run(graphs)
-        finally:
-            obs.reset()
         if result.critical_path is None:
             raise RuntimeError(
                 f"{system}: run produced no critical path (recorder "

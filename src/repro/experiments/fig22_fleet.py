@@ -214,21 +214,14 @@ def replica_zero_report(system: str = "CAIS", scale: Scale = DEFAULT,
     plan = plan_fleet(fleet)
     rs = plan.stage1[0]
     cfg = dgx_h100_config(seed=seed)
-    prev_ts = obs.current_timeseries()
-    prev_rl = obs.current_request_log()
-    prev_cz = obs.current_causality()
-    obs.install(timeseries=obs.TimeSeriesSink(window_ns=window_ns),
-                request_log=obs.RequestLog(),
-                causality=obs.CausalityRecorder())
-    try:
+    with obs.installed(timeseries=obs.TimeSeriesSink(window_ns=window_ns),
+                       request_log=obs.RequestLog(),
+                       causality=obs.CausalityRecorder()):
         instance = make_system(system, cfg, tiling=scale.tiling,
                                chunk_bytes=scale.coll_chunk_bytes)
         serving = simulate_serving(instance, rs.spec,
                                    style=style_for(system),
                                    requests=rs.to_requests())
-    finally:
-        obs.install(timeseries=prev_ts, request_log=prev_rl,
-                    causality=prev_cz)
     return build_report(
         serving, slo_ttft_ms=SLO_TTFT_MS,
         extra_run={"system": system, "model": fleet.serving.model,

@@ -38,7 +38,8 @@ from ..common.config import FaultSpec, SystemConfig
 from ..llm.fleet import ReplicaSpec
 from ..llm.graph import Graph
 from ..llm.serving import ServingSpec
-from ..obs import current_metrics, ledger_from_env
+from .. import obs
+from ..obs import ledger_from_env
 from .cache import CACHE_SCHEMA, SimCache, fingerprint
 
 #: Metric names emitted by :func:`run_matrix` (satellite: cache and pool
@@ -332,15 +333,12 @@ def _execute_task(task: SimTask) -> Tuple[RunSummary, float]:
     both modes share one code path per task.
     """
     start = time.perf_counter()
-    prev_metrics = None
-    if task.collect_histograms:
-        # A private registry per task, so the harvested histograms describe
-        # exactly this simulation even when the caller's own registry is
-        # installed (and in pool workers, where nothing is).
-        from .. import obs
-        prev_metrics = current_metrics()
-        obs.install(metrics=obs.MetricsRegistry())
-    try:
+    # A private registry per task, so the harvested histograms describe
+    # exactly this simulation even when the caller's own registry is
+    # installed (and in pool workers, where nothing is).
+    private = ({"metrics": obs.MetricsRegistry()}
+               if task.collect_histograms else {})
+    with obs.installed(**private):
         serving = None
         if task.replica is not None:
             serving = _run_replica(task)
@@ -360,10 +358,6 @@ def _execute_task(task: SimTask) -> Tuple[RunSummary, float]:
             from ..llm.fleet import encode_request_stats
             summary = replace(summary,
                               request_stats=encode_request_stats(serving))
-    finally:
-        if prev_metrics is not None:
-            from .. import obs
-            obs.install(metrics=prev_metrics)
     return summary, (time.perf_counter() - start) * 1e3
 
 
@@ -377,7 +371,7 @@ def _ledger_append(ledger, task: SimTask, summary: RunSummary, *,
     downgraded to a warning because the ledger is an observer, not a
     correctness dependency.
     """
-    if not ledger.enabled:
+    if ledger is None:
         return
     try:
         from .ledger import record_for_task
@@ -405,7 +399,7 @@ def _execute_task_observed(
     summary, wall_ms = _execute_task(task)
     t1 = time.monotonic()
     ledger = ledger_from_env()
-    if ledger.enabled:
+    if ledger is not None:
         _ledger_append(ledger, task, summary,
                        fingerprint=task.fingerprint(), cache_hit=False,
                        wall_ms=wall_ms)
@@ -514,7 +508,7 @@ def run_matrix(tasks: Sequence[SimTask],
                  else replace(task,
                               config=task.config.with_faults(ctx.fault_spec))
                  for task in tasks]
-    metrics = current_metrics()
+    metrics = obs.current().metrics
     ledger = ledger_from_env()
     board = meta = None
     if ctx.progress:
@@ -526,7 +520,7 @@ def run_matrix(tasks: Sequence[SimTask],
     # Fingerprints cost one canonical-JSON + sha256 per task; skip them
     # entirely unless something downstream (cache, ledger, meta-trace)
     # consumes them, preserving the bare serial path byte-for-byte.
-    need_fp = (ctx.cache is not None or ledger.enabled
+    need_fp = (ctx.cache is not None or ledger is not None
                or meta is not None)
     out: List[Optional[RunSummary]] = [None] * len(tasks)
     fps: List[Optional[str]] = [None] * len(tasks)
@@ -545,7 +539,7 @@ def run_matrix(tasks: Sequence[SimTask],
                     summary = None
                 if summary is not None and summary_satisfies(task, summary):
                     out[i] = summary
-                    if metrics.enabled:
+                    if metrics is not None:
                         metrics.counter(CACHE_HITS).inc()
                     if board is not None:
                         board.cache_hit()
@@ -563,7 +557,7 @@ def run_matrix(tasks: Sequence[SimTask],
                     task.utilization_windows ==
                     tasks[src].utilization_windows):
                 aliases.append((i, src))
-                if metrics.enabled:
+                if metrics is not None:
                     metrics.counter(CACHE_HITS).inc()
                 if board is not None:
                     board.cache_hit()
@@ -571,7 +565,7 @@ def run_matrix(tasks: Sequence[SimTask],
                     meta.cache_hit(i, _task_label(task), fps[i])
                 continue
             queued[fps[i]] = i
-            if metrics.enabled:
+            if metrics is not None:
                 metrics.counter(CACHE_MISSES).inc()
         pending.append(i)
 
@@ -600,7 +594,7 @@ def run_matrix(tasks: Sequence[SimTask],
                     board.task_done(outcomes[-1][1])
         for i, (summary, wall_ms, pid, t0, t1) in zip(pending, outcomes):
             out[i] = summary
-            if metrics.enabled:
+            if metrics is not None:
                 metrics.histogram(TASK_WALL_MS).record(wall_ms)
             if ctx.cache is not None:
                 ctx.cache.store(fps[i], summary.to_dict())

@@ -466,20 +466,13 @@ def run_report(system: str = "CAIS", scale: Scale = DEFAULT,
         spec = dc_replace(spec, admission_policy=admission_policy,
                           slo_ttft_ms=slo_ttft_ms,
                           retry_budget=retry_budget)
-    prev_ts = obs.current_timeseries()
-    prev_rl = obs.current_request_log()
-    prev_cz = obs.current_causality()
-    obs.install(timeseries=obs.TimeSeriesSink(window_ns=window_ns),
-                request_log=obs.RequestLog(),
-                causality=obs.CausalityRecorder())
-    try:
+    with obs.installed(timeseries=obs.TimeSeriesSink(window_ns=window_ns),
+                       request_log=obs.RequestLog(),
+                       causality=obs.CausalityRecorder()):
         instance = make_system(system, cfg, tiling=scale.tiling,
                                chunk_bytes=scale.coll_chunk_bytes)
         serving = simulate_serving(instance, spec,
                                    style=style_for(system))
-    finally:
-        obs.install(timeseries=prev_ts, request_log=prev_rl,
-                    causality=prev_cz)
     return build_report(
         serving, slo_ttft_ms=slo_ttft_ms, slo_tpot_ms=slo_tpot_ms,
         worst_n=worst_n,

@@ -17,7 +17,7 @@ from ..common.events import Simulator
 from ..common.config import FaultSpec
 from ..common.rng import RngPool
 from ..interconnect.message import Message, Op, mark_corrupted
-from ..obs import current_metrics, current_timeseries, current_tracer
+from .. import obs
 from .retry import RetryPolicy, Retransmitter
 from .schedule import FaultEvent, FaultKind, FaultSchedule
 from .watchdog import Watchdog
@@ -48,15 +48,16 @@ class FaultCounters:
 
     def __init__(self, sim: Optional[Simulator] = None) -> None:
         self._counts: Dict[str, int] = {}
-        self._mx = current_metrics()
-        self._ts = current_timeseries()
+        sinks = obs.current()
+        self._mx = sinks.metrics
+        self._ts = sinks.timeseries
         self._sim = sim
 
     def bump(self, name: str, n: int = 1) -> None:
         self._counts[name] = self._counts.get(name, 0) + n
-        if self._mx.enabled:
+        if self._mx is not None:
             self._mx.counter(f"faults.{name}").inc(n)
-        if self._ts.enabled and self._sim is not None:
+        if self._ts is not None and self._sim is not None:
             self._ts.counter(f"faults.{name}").add(self._sim.now, n)
 
     def get(self, name: str) -> int:
@@ -154,10 +155,11 @@ class FaultInjector:
                        for link in self.network.all_links()}
         self._drop_rng = RngPool(harness.config.seed).stream(
             f"faults.{schedule.spec.fault_seed}.msg")
-        self._tr = current_tracer()
-        self._ts = current_timeseries()
+        sinks = obs.current()
+        self._tr = sinks.tracer
+        self._ts = sinks.timeseries
         self._track = (self._tr.track("Faults", "injected")
-                       if self._tr.enabled else 0)
+                       if self._tr is not None else 0)
         self._next_span = 0
         self._scheduled: List = []
         self._watchdog: Optional[Watchdog] = None
@@ -224,7 +226,7 @@ class FaultInjector:
             return
         counters = self.state.counters
         span = self._span_begin(ev)
-        if self._ts.enabled:
+        if self._ts is not None:
             # duration 0 means permanent (PLANE_FAIL / NVLS_FAIL): an
             # open-ended mark that reports clamp to the makespan.
             self._ts.mark_window(
@@ -328,7 +330,7 @@ class FaultInjector:
     # Trace spans for fault windows
     # ------------------------------------------------------------------
     def _span_begin(self, ev: FaultEvent) -> int:
-        if not self._tr.enabled:
+        if self._tr is None:
             return -1
         aid = self._next_span
         self._next_span += 1
@@ -343,6 +345,6 @@ class FaultInjector:
         return aid
 
     def _span_end(self, aid: int) -> None:
-        if self._tr.enabled and aid >= 0:
+        if self._tr is not None and aid >= 0:
             self._tr.async_end(self._track, "fault-window", aid,
                                self.sim.now, cat="fault")

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, \
 from ..common.config import FaultSpec
 from ..common.errors import ConfigError
 from ..common.events import Event, Simulator
-from ..obs import current_causality
+from .. import obs
 from ..obs.causality import RETRANSMIT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -74,7 +74,7 @@ class Retransmitter:
         self.counters = counters
         self._outstanding: Dict[Rkey, _Outstanding] = {}
         self._seen: Set[Rkey] = set()
-        self._cz = current_causality()
+        self._cz = obs.current().causality
         self._retry_listeners: List[Callable[[], None]] = []
 
     def add_retry_listener(self, callback: Callable[[], None]) -> None:
@@ -139,7 +139,7 @@ class Retransmitter:
         self.counters.bump("retries")
         for callback in self._retry_listeners:
             callback()
-        if self._cz.enabled:
+        if self._cz is not None:
             # Attribute the timeout wait (and the resent copy's whole
             # causal subtree) to retransmission.  The node spans the ack
             # wait that just expired, so interval-weighted attribution

@@ -32,7 +32,7 @@ from ..common.config import SystemConfig
 from ..common.errors import DeadlockError
 from ..common.events import Simulator
 from ..common.rng import RngPool
-from ..obs import current_causality, current_metrics, current_tracer
+from .. import obs
 from ..obs.causality import GEMM_COMPUTE, VECTOR_COMPUTE
 from ..cais.coordination import SyncPhase
 from ..faults.retry import RKEY_META
@@ -103,10 +103,11 @@ class Executor:
         # Observability: TB lifecycles render one trace row per SM-slot
         # lane of each GPU process; lanes are recycled smallest-first so
         # the trace stays compact and deterministic.
-        self._tr = current_tracer()
-        self._mx = current_metrics()
-        self._cz = current_causality()
-        if self._mx.enabled:
+        sinks = obs.current()
+        self._tr = sinks.tracer
+        self._mx = sinks.metrics
+        self._cz = sinks.causality
+        if self._mx is not None:
             self._h_tb_latency = self._mx.histogram(
                 "gpu.tb_issue_to_retire_ns")
             self._c_tbs = self._mx.counter("gpu.tbs_completed")
@@ -114,7 +115,7 @@ class Executor:
         self._lanes_made: List[int] = [0] * len(self.gpus)
         self._lane_tracks: Dict[Tuple[int, int], int] = {}
         self._kernel_track = (self._tr.track("Executor", "kernels")
-                              if self._tr.enabled else 0)
+                              if self._tr is not None else 0)
         # Kernel-span async ids are per-executor, NOT kernel_id: kernel_id
         # comes from a process-global counter, which would leak earlier
         # runs into the trace and break same-seed byte-identity.
@@ -125,9 +126,9 @@ class Executor:
         # being live forces the reference path.
         self._fp_kernels = (fastpath.config().analytic_kernels
                             and fault_state is None
-                            and not self._tr.enabled
-                            and not self._mx.enabled
-                            and not self._cz.enabled)
+                            and self._tr is None
+                            and self._mx is None
+                            and self._cz is None)
         self._fp_inflight = 0
         # With these positive, no fabric event schedules another at its
         # own instant (see _kernel_fastpath_eligible).
@@ -230,7 +231,7 @@ class Executor:
             handle = self.timeline.begin(kernel.name, self.sim.now)
             self._kernel_done_cbs.setdefault(kernel.kernel_id, []).append(
                 lambda h=handle: self.timeline.end(h, self.sim.now))
-        if self._tr.enabled:
+        if self._tr is not None:
             aid = self._next_kernel_aid
             self._next_kernel_aid += 1
             self._tr.async_begin(self._kernel_track, kernel.name, aid,
@@ -503,7 +504,7 @@ class Executor:
         # The ambient cause here is whatever made the TB ready: the kernel
         # launch event, or — when tb_deps gated it — the signal that
         # satisfied the last token (a producer TB's completion node).
-        if self._cz.enabled:
+        if self._cz is not None:
             tb.cz_enq = self._cz.current
         gpu.enqueue(tb)
 
@@ -513,7 +514,7 @@ class Executor:
     def _tb_start(self, tb: ThreadBlock) -> None:
         # Pre-launch TB-group sync (if armed) happened in the GPU's
         # dispatcher, *before* the TB acquired its slot.
-        if self._tr.enabled:
+        if self._tr is not None:
             tb.obs_lane = self._lane_acquire(tb.gpu_index)
             tb.obs_span = self._tr.begin(
                 self._lane_track(tb.gpu_index, tb.obs_lane),
@@ -531,9 +532,9 @@ class Executor:
 
     def _tb_pre(self, tb: ThreadBlock) -> None:
         tb.state = TBState.COMPUTE_PRE
-        if self._tr.enabled:
+        if self._tr is not None:
             self._phase_begin(tb, "pre")
-        if self._cz.enabled:
+        if self._cz is not None:
             tb.cz_pre_start = self.sim.now
             # The event that actually started the pre phase — a pre-launch
             # sync release, or the dispatch itself — so a TB gated by the
@@ -551,11 +552,11 @@ class Executor:
                 else GEMM_COMPUTE)
 
     def _tb_after_pre(self, tb: ThreadBlock) -> None:
-        if self._tr.enabled:
+        if self._tr is not None:
             self._phase_end(tb)
         kernel = tb.kernel
         gpu = self.gpus[tb.gpu_index]
-        if self._cz.enabled:
+        if self._cz is not None:
             # The pre-compute node: charged to the kernel's compute class,
             # caused by readiness ("dep" edge: token/launch wait) and the
             # slot grant ("slot" edge: ready-queue wait).  Everything the
@@ -600,7 +601,7 @@ class Executor:
                           reduces: List[RemoteOp]) -> None:
         # Released by the pre-access barrier: if nothing later (a load
         # fill) overwrites it, the post phase is attributed to the sync.
-        if self._cz.enabled:
+        if self._cz is not None:
             tb.cz_release = self._cz.current
             tb.cz_release_kind = "sync"
         self._tb_remote(tb, loads, reduces)
@@ -611,7 +612,7 @@ class Executor:
         gpu = self.gpus[tb.gpu_index]
         remote_loads = [op for op in loads
                         if op.address.home_gpu != tb.gpu_index]
-        if self._tr.enabled and remote_loads:
+        if self._tr is not None and remote_loads:
             self._phase_begin(tb, "remote")
         # Reductions are fire-and-forget; the TB holds its slot only
         # while loads are pending.
@@ -686,17 +687,17 @@ class Executor:
     def _tb_load_ready(self, tb: ThreadBlock) -> None:
         tb.loads_outstanding -= 1
         if tb.loads_outstanding == 0:
-            if self._cz.enabled:
+            if self._cz is not None:
                 # The last load fill is what released the post phase.
                 tb.cz_release = self._cz.current
                 tb.cz_release_kind = "wire"
             self._tb_post(tb)
 
     def _tb_post(self, tb: ThreadBlock) -> None:
-        if self._tr.enabled:
+        if self._tr is not None:
             self._phase_end(tb)          # remote phase (if it opened)
             self._phase_begin(tb, "post")
-        if self._cz.enabled:
+        if self._cz is not None:
             tb.cz_post_start = self.sim.now
         tb.state = TBState.COMPUTE_POST
         duration = tb.kernel.tb_post_ns * self._jitter(tb.gpu_index)
@@ -710,7 +711,7 @@ class Executor:
         tb.state = TBState.DONE
         tb.complete_time = self.sim.now
         self.tbs_completed += 1
-        if self._tr.enabled:
+        if self._tr is not None:
             self._phase_end(tb)
             if tb.obs_span >= 0:
                 self._tr.end(tb.obs_span, self.sim.now)
@@ -718,10 +719,10 @@ class Executor:
             if tb.obs_lane >= 0:
                 heapq.heappush(self._free_lanes[tb.gpu_index], tb.obs_lane)
                 tb.obs_lane = -1
-        if self._mx.enabled:
+        if self._mx is not None:
             self._h_tb_latency.record(self.sim.now - tb.dispatch_time)
             self._c_tbs.inc()
-        if self._cz.enabled:
+        if self._cz is not None:
             # The post-compute node: sequenced after the TB's own pre
             # phase and caused by whatever released it (last load fill,
             # sync release, or plain sequencing).  Set as ambient *before*

@@ -179,16 +179,8 @@ class MemoryController:
         self._store_callbacks.setdefault(address, []).append(callback)
 
     # ------------------------------------------------------------------
-    # Message entry point (wired from the GPU's receive dispatch)
+    # Message handlers (the GPU routes deliveries by ``ROUTES``)
     # ------------------------------------------------------------------
-    def handle(self, msg: Message) -> bool:
-        """Process a memory-bound message; True when consumed."""
-        route = self.ROUTES.get(msg.op)
-        if route is None:
-            return False
-        route(self, msg)
-        return True
-
     def _serve_fill(self, msg: Message) -> None:
         """Answer a fill/direct load after the HBM read latency."""
         self.sim.schedule(self.spec.hbm_latency_ns, self._send_fill, msg)

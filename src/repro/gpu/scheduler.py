@@ -16,7 +16,7 @@ from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-from ..obs import current_causality, current_metrics
+from .. import obs
 
 
 def effective_capacity(capacity: int, throttle_fraction: float) -> int:
@@ -37,10 +37,11 @@ class DispatchPolicy:
     def __init__(self) -> None:
         # Per-policy-class dispatch counters, shared across all GPUs so
         # the snapshot shows how much each strategy actually decided.
-        mx = current_metrics()
+        sinks = obs.current()
+        mx = sinks.metrics
         self._picks = (mx.counter(f"sched.{type(self).__name__}.picks")
-                       if mx.enabled else None)
-        self._cz = current_causality()
+                       if mx is not None else None)
+        self._cz = sinks.causality
 
     def _note_pick(self, tb: Any) -> Any:
         """Account for one dispatch decision; returns ``tb``.
@@ -51,7 +52,7 @@ class DispatchPolicy:
         """
         if self._picks is not None:
             self._picks.inc()
-        if self._cz.enabled:
+        if self._cz is not None:
             tb.cz_disp = self._cz.current
         return tb
 

@@ -63,11 +63,3 @@ class Synchronizer:
     #: The ops this module consumes, each with its handler.  The GPU
     #: routes its deliveries by this table (``Gpu.receive``).
     ROUTES = {Op.SYNC_RELEASE: _on_release}
-
-    def handle(self, msg: Message) -> bool:
-        """Process a control message; True when consumed."""
-        route = self.ROUTES.get(msg.op)
-        if route is None:
-            return False
-        route(self, msg)
-        return True

@@ -32,9 +32,9 @@ from ..common.config import LinkSpec
 from ..common.errors import SimulationError
 from ..common.events import Simulator
 from ..metrics.bandwidth import BandwidthTracker
-from ..obs import current_causality, current_metrics, current_tracer
+from .. import obs
 from ..obs.causality import LINK_SERIALIZATION, NO_CAUSE
-from .message import VC_ORDER, Message, TrafficClass
+from .message import VC_ORDER, Message
 
 
 class Link:
@@ -67,13 +67,14 @@ class Link:
         #: Deliveries scheduled but not yet consumed (wire in flight);
         #: :meth:`idle` needs this for network-quiescence checks.
         self.inflight_deliveries = 0
-        # Observability (captured at wiring time; null objects when off).
-        self._tr = current_tracer()
-        self._mx = current_metrics()
-        self._obs_on = self._tr.enabled or self._mx.enabled
+        # Observability (captured at wiring time; None when off).
+        sinks = obs.current()
+        self._tr = sinks.tracer
+        self._mx = sinks.metrics
+        self._obs_on = self._tr is not None or self._mx is not None
         self._track = (self._tr.track("Fabric", name)
-                       if self._tr.enabled else 0)
-        if self._mx.enabled:
+                       if self._tr is not None else 0)
+        if self._mx is not None:
             self._h_qdelay = self._mx.histogram("link.queue_delay_ns")
             self._c_msgs = self._mx.counter("link.messages")
             self._c_bytes = self._mx.counter("link.bytes")
@@ -87,7 +88,7 @@ class Link:
         # send() is remembered per queued message; serialization becomes a
         # node whose "queue" edge charges HOL wait, and the delivery event
         # inherits that node so receivers see the wire as their cause.
-        self._cz = current_causality()
+        self._cz = sinks.causality
         self._cz_pending: Dict[int, int] = {}
         self._cz_tx = NO_CAUSE
         # Fused downstream hop: (dispatch, port, hop_ns), wired by the
@@ -117,19 +118,17 @@ class Link:
         if self._obs_on:
             now = self.sim.now
             self._enqueued_at[id(msg)] = now
-            if self._tr.enabled:
+            if self._tr is not None:
                 self._tr.counter(self._track, "queue_depth", now, depth)
-            if self._mx.enabled:
+            if self._mx is not None:
                 self._g_qdepth.set(self.peak_queue_depth)
-        if self._cz.enabled:
+        if self._cz is not None:
             self._cz_pending[id(msg)] = self._cz.current
         if not self._busy:
             self._start_next()
 
-    def queue_depth(self, traffic_class: Optional[TrafficClass] = None) -> int:
+    def queue_depth(self) -> int:
         """Messages currently waiting (not including the one serializing)."""
-        if traffic_class is not None and self.traffic_control:
-            return len(self._queues[traffic_class.vc])
         return self._depth
 
     # ------------------------------------------------------------------
@@ -205,16 +204,16 @@ class Link:
         self.tracker.record(now, now + serialization, wire)
         if self._obs_on:
             enq = self._enqueued_at.pop(id(msg), now)
-            if self._mx.enabled:
+            if self._mx is not None:
                 self._h_qdelay.record(now - enq)
                 self._c_msgs.inc()
                 self._c_bytes.inc(wire)
-            if self._tr.enabled:
+            if self._tr is not None:
                 self._tx_span = self._tr.begin(
                     self._track, f"tx {msg.op.value}", now, cat="link",
                     args={"bytes": wire,
                           "queued_ns": now - enq})
-        if self._cz.enabled:
+        if self._cz is not None:
             self._cz_tx = self._cz.node(
                 LINK_SERIALIZATION, now, now + serialization,
                 f"tx {msg.op.value} {self.name}",
@@ -234,14 +233,14 @@ class Link:
         fused[0](msg, fused[1])
 
     def _on_serialized(self, msg: Message) -> None:
-        if self._tr.enabled and self._tx_span >= 0:
+        if self._tr is not None and self._tx_span >= 0:
             self._tr.end(self._tx_span, self.sim.now)
             self._tx_span = -1
         # Downstream events — the delivery and any retransmission timers
         # the fault hook arms — are all caused by this transmission (one
         # message serializes at a time, so the single saved node id is the
         # right one).
-        if self._cz.enabled:
+        if self._cz is not None:
             self._cz.current = self._cz_tx
         # The fault hook may drop the message on the wire (True) or mark it
         # corrupted in place; either way link-level bandwidth was consumed.
@@ -253,7 +252,7 @@ class Link:
                 # (end + latency), dispatch at arrival + hop.
                 arrival = self.sim.now + self.spec.latency_ns
                 self.fastpath_events_elided += 1
-                if self._mx.enabled:
+                if self._mx is not None:
                     self._c_fp_elided.inc()
                 self.sim.schedule_at(arrival + fused[2],
                                      self._deliver_fused_cb, msg)

@@ -172,11 +172,6 @@ class Message:
             _msg_ids.value = msg_id + 1
         self.msg_id = msg_id
 
-    @property
-    def traffic_class(self) -> TrafficClass:
-        """Virtual-channel class this message travels in."""
-        return VC_ORDER[self.op.vc]
-
     def wire_bytes(self) -> int:
         """Bytes occupied on the wire, including per-packet flit headers."""
         if self.payload_bytes == 0:

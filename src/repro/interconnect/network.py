@@ -26,7 +26,7 @@ from ..common import fastpath
 from ..common.config import SystemConfig
 from ..common.errors import RoutingError, SimulationError
 from ..common.events import Simulator
-from ..obs import current_causality, current_tracer
+from .. import obs
 from .link import Link
 from .message import Address, Message
 from .routing import plane_for_address, plane_for_stripe
@@ -50,9 +50,9 @@ class Network:
         self.sim = sim
         self.config = config
         self.traffic_control = traffic_control
+        sinks = obs.current()
         fuse = (allow_fastpath and fastpath.config().link_windows
-                and not current_tracer().enabled
-                and not current_causality().enabled)
+                and sinks.tracer is None and sinks.causality is None)
         self.switches: List[Switch] = [
             Switch(sim, config.switch, s, config.num_gpus)
             for s in range(config.num_switches)

@@ -16,7 +16,7 @@ from typing import Dict, List, Protocol
 from ..common.config import SwitchSpec
 from ..common.errors import RoutingError
 from ..common.events import Simulator
-from ..obs import current_causality, current_metrics, current_tracer
+from .. import obs
 from ..obs.causality import (BARRIER_SYNC, LINK_SERIALIZATION, SWITCH_MERGE)
 from .link import Link
 from .message import Message, NodeId, Op
@@ -69,10 +69,11 @@ class Switch:
         #: pending) — network-quiescence bookkeeping.  Fused link
         #: deliveries bypass :meth:`receive` and are tracked by the link.
         self.inflight_hops = 0
-        self._tr = current_tracer()
-        self._mx = current_metrics()
-        self._cz = current_causality()
-        if self._mx.enabled:
+        sinks = obs.current()
+        self._tr = sinks.tracer
+        self._mx = sinks.metrics
+        self._cz = sinks.causality
+        if self._mx is not None:
             self._c_msgs = self._mx.counter(f"switch.{index}.messages")
         # Port tracks are created lazily — only ports that see traffic
         # appear in the trace.
@@ -107,7 +108,7 @@ class Switch:
         return True
 
     def _dispatch(self, msg: Message, in_port: int) -> None:
-        if self._tr.enabled:
+        if self._tr is not None:
             track = self._port_tracks.get(in_port)
             if track is None:
                 track = self._tr.track(f"Switch {self.index}",
@@ -116,9 +117,9 @@ class Switch:
             self._tr.instant(track, msg.op.value, self.sim.now,
                              cat="switch",
                              args={"bytes": msg.payload_bytes})
-        if self._mx.enabled:
+        if self._mx is not None:
             self._c_msgs.inc()
-        if self._cz.enabled:
+        if self._cz is not None:
             # The hop latency was spent getting here; the ambient cause is
             # the delivery that carried the message in ("wire" edge).
             now = self.sim.now

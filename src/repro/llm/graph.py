@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import WorkloadError
-from ..obs import current_causality
+from .. import obs
 from ..obs.causality import BARRIER_SYNC
 
 
@@ -183,7 +183,7 @@ class GraphRunner:
         self.launch_overhead_ns = (
             harness.config.gpu.kernel_launch_overhead_ns
             if launch_overhead_ns is None else launch_overhead_ns)
-        self._cz = current_causality()
+        self._cz = obs.current().causality
 
     # -- lowering hooks --------------------------------------------------
     def _plan(self, graph: Graph):
@@ -257,7 +257,7 @@ class _Walk:
             raise WorkloadError(f"op {name} finished twice")
         cz = self.runner._cz
         sim = self.runner.harness.sim
-        if cz.enabled:
+        if cz is not None:
             # Op boundary: consumers started below are caused by this
             # completion (the kernel's last TB or the collective's
             # last chunk, carried in as the ambient cause).

@@ -43,8 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..common.errors import SimulationError, WorkloadError
 from ..common.rng import RngPool
 from ..faults.retry import RequestRetryBudget
-from ..obs import (current_causality, current_metrics, current_request_log,
-                   current_timeseries, current_tracer)
+from .. import obs
 from ..obs.requests import PHASE_DECODE, PHASE_PREFILL, category_shares
 from .graph import CommKind, Graph
 from .models import ModelConfig
@@ -768,42 +767,43 @@ def simulate_serving(system, spec: ServingSpec,
             retry_budget = RequestRetryBudget(spec.retry_budget)
             fault_state.retransmitter.add_retry_listener(
                 retry_budget.note_retry)
-    tracer = current_tracer()
-    metrics = current_metrics()
-    ts = current_timeseries()
-    reqlog = current_request_log()
-    cz = current_causality()
+    sinks = obs.current()
+    tracer = sinks.tracer
+    metrics = sinks.metrics
+    ts = sinks.timeseries
+    reqlog = sinks.request_log
+    cz = sinks.causality
     tile = system.tiling.tile
     state = {"iterations": 0}
     max_iterations = sum(r.output_len for r in requests) + 16
     #: One flag for all per-iteration instrumentation below, so a run
     #: with every sink disabled takes exactly the pre-existing path.
-    obs_iter = ts.enabled or reqlog.enabled
-    if reqlog.enabled:
+    obs_iter = ts is not None or reqlog is not None
+    if reqlog is not None:
         for r in requests:
             reqlog.open(r.rid, r.arrival_ns, r.prompt_len, r.output_len)
     if obs_iter:
         def _on_evict(active: _Active, now_ns: float) -> None:
-            if reqlog.enabled:
+            if reqlog is not None:
                 reqlog.get(active.stats.rid).event("evicted", now_ns)
-            if ts.enabled:
+            if ts is not None:
                 ts.counter("serving.evictions").add(now_ns, 1)
         batcher.on_evict = _on_evict
 
         def _on_shed(active: _Active, now_ns: float) -> None:
-            if reqlog.enabled:
+            if reqlog is not None:
                 rec = reqlog.get(active.stats.rid)
                 rec.event("shed", now_ns)
                 # Its whole lifetime was spent queued; pad and seal.
                 rec.close(now_ns, None, pad=True)
-            if ts.enabled:
+            if ts is not None:
                 ts.counter("serving.shed").add(now_ns, 1)
         batcher.on_shed = _on_shed
 
         def _on_abort(active: _Active, now_ns: float) -> None:
-            if reqlog.enabled:
+            if reqlog is not None:
                 reqlog.get(active.stats.rid).event("aborted", now_ns)
-            if ts.enabled:
+            if ts is not None:
                 ts.counter("serving.aborts").add(now_ns, 1)
         batcher.on_abort = _on_abort
     if session.fault_injector is not None:
@@ -822,13 +822,13 @@ def simulate_serving(system, spec: ServingSpec,
 
     def record_finish(active: _Active, track_args: dict) -> None:
         s = active.stats
-        if reqlog.enabled:
+        if reqlog is not None:
             reqlog.get(s.rid).close(s.finish_ns, s.first_token_ns)
-        if tracer.enabled:
+        if tracer is not None:
             track = tracer.track("serving", f"req{s.rid:04d}")
             handle = tracer.begin(track, "request", s.arrival_ns,
                                   cat="serving", args=track_args)
-            if reqlog.enabled:
+            if reqlog is not None:
                 # One span per phase, nested inside the request span; the
                 # phases tile arrival -> finish, so their durations sum to
                 # the request's e2e latency in the trace too.
@@ -840,14 +840,14 @@ def simulate_serving(system, spec: ServingSpec,
             tracer.instant(track, "first_token", s.first_token_ns,
                            cat="serving")
             tracer.end(handle, s.finish_ns)
-        if metrics.enabled:
+        if metrics is not None:
             metrics.counter("serving.requests_completed").inc()
             metrics.counter("serving.tokens_emitted").inc(s.output_len)
             metrics.histogram("serving.ttft_ns").record(s.ttft_ns)
             metrics.histogram("serving.e2e_ns").record(s.e2e_ns)
             if s.output_len > 1:
                 metrics.histogram("serving.tpot_ns").record(s.tpot_ns)
-        if ts.enabled:
+        if ts is not None:
             ts.counter("serving.requests_completed").add(s.finish_ns, 1)
             ts.sketch("serving.ttft_ns").record(s.finish_ns, s.ttft_ns)
             ts.sketch("serving.e2e_ns").record(s.finish_ns, s.e2e_ns)
@@ -880,7 +880,7 @@ def simulate_serving(system, spec: ServingSpec,
                 f"{system.name}: serving exceeded {max_iterations} "
                 f"iterations for {len(requests)} requests — "
                 f"scheduler is not making progress")
-        if metrics.enabled:
+        if metrics is not None:
             metrics.gauge("serving.kv_bytes").set(batcher.peak_kv_bytes)
             metrics.counter("serving.iterations").inc()
         it_start = now
@@ -890,7 +890,7 @@ def simulate_serving(system, spec: ServingSpec,
             kinds = [PHASE_PREFILL if a.prefill_pending else PHASE_DECODE
                      for a, _, _ in plan]
             kv_now = batcher.kv_bytes_now
-            cz_mark = len(cz) if cz.enabled else 0
+            cz_mark = len(cz) if cz is not None else 0
         graph = serving_iteration_graph(
             model, tp, [(tokens, span) for _, tokens, span in plan],
             tile=tile, style=style,
@@ -900,8 +900,8 @@ def simulate_serving(system, spec: ServingSpec,
             it_end = sim.now
             if obs_iter:
                 shares = (category_shares(cz, cz_mark, it_start, it_end)
-                          if cz.enabled else None)
-                if ts.enabled:
+                          if cz is not None else None)
+                if ts is not None:
                     ts.counter("serving.tokens").add(it_end, len(plan))
                     ts.counter("serving.iterations").add(it_end, 1)
                     ts.gauge("serving.kv_bytes").set(it_end, kv_now)
@@ -909,7 +909,7 @@ def simulate_serving(system, spec: ServingSpec,
                                                            len(plan))
                     ts.sketch("serving.iteration_ns").record(
                         it_end, it_end - it_start)
-                if reqlog.enabled:
+                if reqlog is not None:
                     for (active, tokens, _span), kind in zip(plan, kinds):
                         reqlog.get(active.stats.rid).phase(
                             kind, it_start, it_end, tokens,

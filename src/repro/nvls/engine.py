@@ -28,7 +28,7 @@ from ..common.errors import ProtocolError
 from ..common.functional import combine_payloads as _combine
 from ..interconnect.message import Address, Message, Op, gpu_node
 from ..interconnect.switch import Switch
-from ..obs import current_causality, current_metrics, current_tracer
+from .. import obs
 from ..obs.causality import SWITCH_MERGE
 
 
@@ -81,9 +81,10 @@ class NvlsEngine:
         self.faulted = False
         self.faulted_drops = 0
         self._fault_state = fault_state
-        self._tr = current_tracer()
-        self._mx = current_metrics()
-        self._cz = current_causality()
+        sinks = obs.current()
+        self._tr = sinks.tracer
+        self._mx = sinks.metrics
+        self._cz = sinks.causality
         self._next_aid = 0
         self._track = -1                 # resolved on first switch contact
 
@@ -115,10 +116,10 @@ class NvlsEngine:
     # ------------------------------------------------------------------
     def _session_open(self, switch: Switch, kind: str,
                       session: Any) -> None:
-        if self._mx.enabled:
+        if self._mx is not None:
             self._mx.counter(f"nvls.{kind}_sessions").inc()
         session.started_ns = switch.sim.now
-        if not self._tr.enabled:
+        if self._tr is None:
             return
         if self._track < 0:
             self._track = self._tr.track(f"Switch {switch.index}", "NVLS")
@@ -130,10 +131,10 @@ class NvlsEngine:
 
     def _session_close(self, switch: Switch, kind: str,
                        session: Any) -> None:
-        if self._mx.enabled:
+        if self._mx is not None:
             self._mx.histogram("nvls.session_gather_ns").record(
                 switch.sim.now - session.started_ns)
-        if self._tr.enabled and session.obs_aid >= 0:
+        if self._tr is not None and session.obs_aid >= 0:
             self._tr.async_end(self._track, f"nvls {kind}", session.obs_aid,
                                switch.sim.now, cat="nvls")
 
@@ -173,7 +174,7 @@ class NvlsEngine:
         if not members:
             raise ProtocolError("multimem.st requires meta['members']")
         self.multicasts += 1
-        if self._mx.enabled:
+        if self._mx is not None:
             self._mx.counter("nvls.multicasts").inc()
         for gpu in members:
             if gpu_node(gpu) == msg.src:
@@ -220,13 +221,13 @@ class NvlsEngine:
             raise ProtocolError(f"ld_reduce contribution for unknown {key}")
         session.received += 1
         session.acc = _combine(session.acc, msg.payload)
-        if self._cz.enabled:
+        if self._cz is not None:
             session.cz_contribs.append(self._cz.current)
         if session.received == session.expected:
             del self._pull_sessions[key]
             self.pull_reductions += 1
             self._session_close(switch, "pull", session)
-            if self._cz.enabled:
+            if self._cz is not None:
                 now = switch.sim.now
                 self._cz.current = self._cz.node(
                     SWITCH_MERGE, now, now,
@@ -259,13 +260,13 @@ class NvlsEngine:
             self._session_open(switch, "push", session)
         session.received += 1
         session.acc = _combine(session.acc, msg.payload)
-        if self._cz.enabled:
+        if self._cz is not None:
             session.cz_contribs.append(self._cz.current)
         if session.received == session.expected:
             del self._push_sessions[msg.address]
             self.push_reductions += 1
             self._session_close(switch, "push", session)
-            if self._cz.enabled:
+            if self._cz is not None:
                 now = switch.sim.now
                 self._cz.current = self._cz.node(
                     SWITCH_MERGE, now, now,

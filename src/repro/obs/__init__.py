@@ -20,115 +20,87 @@ Cooperating pieces, all off by default and zero-cost when off:
   environment variable (so matrix pool workers inherit it), not via
   :func:`install`.
 
-Components capture the *current* sinks at construction time via the
-``current_*`` accessors, so :func:`install` must run before the harness
-is built (the CLI and tests do).  The defaults are null objects whose
-``enabled`` flag is False; instrumented hot paths guard on that flag and
-therefore cost one attribute read when observability is off — see
-DESIGN.md, "Observability".
+The installed sinks live in one frozen :class:`ObsContext`, read with
+:func:`current`; a field that is ``None`` is off.  Components capture
+the sinks they use once, at construction (``sinks = obs.current()``),
+and guard each instrumented site with ``is not None``, so a sink must be
+installed before the harness is built.  :func:`installed` scopes an
+install to a ``with`` block — see DESIGN.md, "Observability".
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
-from .causality import CausalityRecorder, NullCausality
-from .ledger import LEDGER_ENV, LEDGER_SCHEMA, NullLedger, RunLedger, \
-    ledger_from_env
+from .causality import CausalityRecorder
+from .ledger import LEDGER_ENV, LEDGER_SCHEMA, RunLedger, ledger_from_env
 from .metrics import (Counter, EmptyDistributionWarning, Gauge, Histogram,
-                      MetricsRegistry, NullMetrics, merge_histogram_states,
+                      MetricsRegistry, merge_histogram_states,
                       reset_empty_distribution_warnings)
 from .profiler import SimProfiler
-from .requests import NullRequestLog, RequestLog
-from .timeseries import NullTimeSeries, TimeSeriesSink
-from .tracer import NullTracer, Tracer
+from .requests import RequestLog
+from .timeseries import TimeSeriesSink
+from .tracer import Tracer
 
 __all__ = [
     "CausalityRecorder", "Counter", "EmptyDistributionWarning", "Gauge",
     "Histogram", "LEDGER_ENV", "LEDGER_SCHEMA", "MetricsRegistry",
-    "NullCausality", "NullLedger", "NullMetrics", "NullRequestLog",
-    "NullTimeSeries", "NullTracer", "RequestLog", "RunLedger",
-    "SimProfiler", "TimeSeriesSink", "Tracer", "current_tracer",
-    "current_metrics", "current_profiler", "current_causality",
-    "current_timeseries", "current_request_log", "install",
+    "ObsContext", "RequestLog", "RunLedger", "SimProfiler",
+    "TimeSeriesSink", "Tracer", "current", "install", "installed",
     "ledger_from_env", "merge_histogram_states", "reset",
     "reset_empty_distribution_warnings",
 ]
 
-_NULL_TRACER = NullTracer()
-_NULL_METRICS = NullMetrics()
-_NULL_CAUSALITY = NullCausality()
-_NULL_TIMESERIES = NullTimeSeries()
-_NULL_REQUEST_LOG = NullRequestLog()
 
-_tracer: NullTracer = _NULL_TRACER
-_metrics: NullMetrics = _NULL_METRICS
-_profiler: Optional[SimProfiler] = None
-_causality: NullCausality = _NULL_CAUSALITY
-_timeseries: NullTimeSeries = _NULL_TIMESERIES
-_request_log: NullRequestLog = _NULL_REQUEST_LOG
+@dataclasses.dataclass(frozen=True)
+class ObsContext:
+    """The installed observability sinks; ``None`` means that sink is off."""
 
-
-def current_tracer():
-    """The installed tracer (a :class:`NullTracer` when tracing is off)."""
-    return _tracer
+    tracer: Optional[Tracer] = None
+    metrics: Optional[MetricsRegistry] = None
+    profiler: Optional[SimProfiler] = None
+    causality: Optional[CausalityRecorder] = None
+    timeseries: Optional[TimeSeriesSink] = None
+    request_log: Optional[RequestLog] = None
 
 
-def current_metrics():
-    """The installed registry (a :class:`NullMetrics` when metrics are off)."""
-    return _metrics
+_OFF = ObsContext()
+_current = _OFF
 
 
-def current_profiler() -> Optional[SimProfiler]:
-    """The installed profiler, or None when profiling is off."""
-    return _profiler
+def current() -> ObsContext:
+    """The installed context (every field ``None`` when nothing is)."""
+    return _current
 
 
-def current_causality():
-    """The installed causal recorder (:class:`NullCausality` when off)."""
-    return _causality
+def install(**sinks) -> ObsContext:
+    """Set the named sinks, leaving the others; returns the previous
+    context.
 
-
-def current_timeseries():
-    """The installed windowed sink (:class:`NullTimeSeries` when off)."""
-    return _timeseries
-
-
-def current_request_log():
-    """The installed request log (:class:`NullRequestLog` when off)."""
-    return _request_log
-
-
-def install(tracer=None, metrics=None, profiler=None, causality=None,
-            timeseries=None, request_log=None) -> None:
-    """Install observability sinks; call *before* building a harness.
-
-    Only the arguments given are replaced, so tracing can be enabled
-    without metrics and vice versa.
+    ``install(tracer=None)`` turns the tracer off.  Call it *before*
+    building a harness: components capture the sinks at construction.
     """
-    global _tracer, _metrics, _profiler, _causality, _timeseries, \
-        _request_log
-    if tracer is not None:
-        _tracer = tracer
-    if metrics is not None:
-        _metrics = metrics
-    if profiler is not None:
-        _profiler = profiler
-    if causality is not None:
-        _causality = causality
-    if timeseries is not None:
-        _timeseries = timeseries
-    if request_log is not None:
-        _request_log = request_log
+    global _current
+    prev = _current
+    _current = dataclasses.replace(prev, **sinks)
+    return prev
 
 
 def reset() -> None:
-    """Restore the null defaults (used by tests and between CLI runs)."""
-    global _tracer, _metrics, _profiler, _causality, _timeseries, \
-        _request_log
-    _tracer = _NULL_TRACER
-    _metrics = _NULL_METRICS
-    _profiler = None
-    _causality = _NULL_CAUSALITY
-    _timeseries = _NULL_TIMESERIES
-    _request_log = _NULL_REQUEST_LOG
+    """Turn every sink off."""
+    global _current
+    _current = _OFF
+
+
+@contextmanager
+def installed(**sinks) -> Iterator[ObsContext]:
+    """:func:`install` for the length of a ``with`` block, restoring the
+    previous context on exit and on exception."""
+    global _current
+    prev = install(**sinks)
+    try:
+        yield _current
+    finally:
+        _current = prev

@@ -27,11 +27,10 @@ is attributed to the category the edge kind maps to (see
 :data:`EDGE_CATEGORY`); the node's own interval is attributed to the
 node's category.
 
-Zero-cost contract: the default :class:`NullCausality` has
-``enabled = False`` and ``current = NO_CAUSE`` as class attributes;
-instrumented paths guard node creation with ``if cz.enabled:``, and a
-disabled run stamps no cause on its events (only its cancellable
-timers carry one, ``NO_CAUSE``).  Recording
+Zero-cost contract: when no recorder is installed the context's
+``causality`` field is ``None``; instrumented paths guard node creation
+with ``is not None``, and a disabled run stamps no cause on its events
+(only its cancellable timers carry one, ``NO_CAUSE``).  Recording
 creates no simulation events and draws no randomness, so an enabled run
 is simulation-identical to a disabled one.
 """
@@ -113,28 +112,8 @@ class CausalNode:
                 f"<- {self.parents})")
 
 
-class NullCausality:
-    """No-op recorder installed by default.
-
-    ``enabled``/``current`` are class attributes, so reading them costs a
-    constant lookup when causality is off.  ``__slots__`` is empty: accidentally assigning
-    ``current`` on the null object raises instead of silently recording.
-    """
-
-    enabled = False
-    current = NO_CAUSE
-    __slots__ = ()
-
-    def node(self, category: str, start_ns: float, end_ns: float,
-             label: str = "",
-             parents: Sequence[Tuple[int, str]] = ()) -> int:
-        return NO_CAUSE
-
-
 class CausalityRecorder:
     """Recording implementation; see the module docstring for the model."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.nodes: List[CausalNode] = []

@@ -262,8 +262,6 @@ def annotate_tracer(tracer, path: CriticalPath,
     dedicated track, and consecutive path nodes are joined with Perfetto
     flow arrows (``ph: "s"``/``"f"``) so the causality renders in the UI.
     """
-    if not tracer.enabled:
-        return
     track = tracer.track(process, "segments")
     for seg in path.segments:
         handle = tracer.begin(track, seg.category, seg.start_ns,

@@ -39,8 +39,8 @@ lines are skipped on read.
 Activation is ambient via the ``REPRO_LEDGER`` environment variable
 (the CLIs' ``--ledger`` flag sets it), so worker processes inherit the
 choice exactly like ``REPRO_NO_FASTPATH``; when unset,
-:func:`ledger_from_env` returns the :class:`NullLedger` and nothing in
-this module runs on any hot path.
+:func:`ledger_from_env` returns ``None`` and nothing in this module runs
+on any hot path.
 """
 
 from __future__ import annotations
@@ -191,26 +191,8 @@ def build_record(*, fingerprint: str, spec: Dict[str, Any],
     return record
 
 
-class NullLedger:
-    """Disabled stand-in (the default): every method is a no-op."""
-
-    enabled = False
-    __slots__ = ()
-
-    def append(self, record: Dict[str, Any]) -> None:
-        pass
-
-    def records(self) -> List[Dict[str, Any]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
 class RunLedger:
     """Append-only JSONL store under ``root/v<LEDGER_SCHEMA>/runs.jsonl``."""
-
-    enabled = True
 
     def __init__(self, root: str = ".repro_ledger"):
         self.root = Path(root)
@@ -283,17 +265,14 @@ class RunLedger:
         return sum(1 for _ in self.iter_records())
 
 
-_NULL_LEDGER = NullLedger()
-
-
-def ledger_from_env():
+def ledger_from_env() -> Optional[RunLedger]:
     """The ambient ledger: a :class:`RunLedger` rooted at ``$REPRO_LEDGER``
-    when that is set and non-empty, else the shared :class:`NullLedger`.
+    when that is set and non-empty, else ``None``.
 
     Resolved per call (cheap: one ``getenv``) so tests and CLIs can flip
     the variable without process-lifetime caching surprises.
     """
     root = os.environ.get(LEDGER_ENV)
     if not root:
-        return _NULL_LEDGER
+        return None
     return RunLedger(root)

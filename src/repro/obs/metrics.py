@@ -5,10 +5,10 @@ hold onto and update directly (no name lookup on the hot path).  Snapshots
 are plain dicts with sorted keys, so two same-seed runs serialize to
 byte-identical JSON.
 
-The :class:`NullMetrics` registry returned when metrics are disabled hands
-out a single shared no-op instrument; instrumented code additionally
-guards hot-path updates with ``if registry.enabled:`` so a disabled run
-does not even construct the update arguments.
+When metrics are off the context's ``metrics`` field is ``None``;
+instrumented code guards each update with ``is not None`` (or creates
+its instruments only under that guard), so a disabled run does not even
+construct the update arguments.
 """
 
 from __future__ import annotations
@@ -178,56 +178,8 @@ class Histogram:
         return h
 
 
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram."""
-
-    __slots__ = ()
-    value = 0.0
-    peak = 0.0
-    count = 0
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def record(self, v: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """Disabled registry: every instrument is the shared no-op."""
-
-    enabled = False
-    __slots__ = ()
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, volatile: bool = False) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> Dict[str, dict]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-
 class MetricsRegistry:
     """Live registry of named instruments (get-or-create semantics)."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}

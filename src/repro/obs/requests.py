@@ -22,9 +22,9 @@ recorded while the phase ran.  Queue phases are charged entirely to
 time per group (see :func:`category_shares`) — deterministic because the
 causal DAG is.
 
-Zero-cost contract: the default :class:`NullRequestLog` has
-``enabled = False`` and hands out one shared no-op record; recording
-creates no simulation events and draws no randomness.
+Zero-cost contract: when no log is installed the context's
+``request_log`` field is ``None`` and the serving loop skips every
+record; recording creates no simulation events and draws no randomness.
 """
 
 from __future__ import annotations
@@ -219,49 +219,8 @@ class RequestRecord:
         }
 
 
-class _NullRecord:
-    """Shared no-op record handed out by the disabled log."""
-
-    __slots__ = ()
-    phases: List[Phase] = []
-    events: List[Tuple[str, float]] = []
-    evictions = 0
-
-    def phase(self, kind: str, start_ns: float, end_ns: float,
-              tokens: int = 0, categories=None) -> None:
-        pass
-
-    def event(self, name: str, t_ns: float) -> None:
-        pass
-
-    def close(self, finish_ns: float, first_token_ns=None) -> None:
-        pass
-
-
-_NULL_RECORD = _NullRecord()
-
-
-class NullRequestLog:
-    """Disabled log: every record is the shared no-op."""
-
-    enabled = False
-    __slots__ = ()
-
-    def open(self, rid: int, arrival_ns: float, prompt_len: int,
-             output_len: int) -> _NullRecord:
-        return _NULL_RECORD
-
-    def get(self, rid: int) -> _NullRecord:
-        return _NULL_RECORD
-
-    def records(self) -> List[RequestRecord]:
-        return []
-
-
 class RequestLog:
     """Live per-request span log, keyed by request id."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._records: Dict[int, RequestRecord] = {}

@@ -18,11 +18,11 @@ injected fault windows — so reports can overlay "what was broken when"
 onto the per-window series, and :func:`annotate_windows` mirrors both the
 window boundaries and the marks into a Perfetto trace.
 
-Zero-cost contract (same as the rest of :mod:`repro.obs`): the default
-:class:`NullTimeSeries` has ``enabled = False`` and hands out one shared
-no-op instrument; instrumented hot paths guard on that flag.  Recording
-creates no simulation events and draws no randomness, so an enabled run
-is simulation-identical to a disabled one and the disabled path stays
+Zero-cost contract (same as the rest of :mod:`repro.obs`): when no sink
+is installed the context's ``timeseries`` field is ``None`` and
+instrumented hot paths guard on ``is not None``.  Recording creates no
+simulation events and draws no randomness, so an enabled run is
+simulation-identical to a disabled one and the disabled path stays
 byte-identical.
 """
 
@@ -86,54 +86,8 @@ class _TsSketch:
         h.record(v)
 
 
-class _NullTsInstrument:
-    """Shared no-op counter/gauge/sketch."""
-
-    __slots__ = ()
-
-    def add(self, t_ns: float, n: float = 1.0) -> None:
-        pass
-
-    def set(self, t_ns: float, v: float) -> None:
-        pass
-
-    def record(self, t_ns: float, v: float) -> None:
-        pass
-
-
-_NULL_TS_INSTRUMENT = _NullTsInstrument()
-
-
-class NullTimeSeries:
-    """Disabled sink: every instrument is the shared no-op."""
-
-    enabled = False
-    __slots__ = ()
-
-    def counter(self, name: str) -> _NullTsInstrument:
-        return _NULL_TS_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullTsInstrument:
-        return _NULL_TS_INSTRUMENT
-
-    def sketch(self, name: str) -> _NullTsInstrument:
-        return _NULL_TS_INSTRUMENT
-
-    def mark_window(self, start_ns: float, end_ns: Optional[float],
-                    label: str) -> None:
-        pass
-
-    def marks(self) -> List[Tuple[float, Optional[float], str]]:
-        return []
-
-    def snapshot(self, makespan_ns: Optional[float] = None) -> Dict:
-        return {"window_ns": 0.0, "windows": [], "marks": []}
-
-
 class TimeSeriesSink:
     """Live windowed sink; see the module docstring for the data model."""
-
-    enabled = True
 
     def __init__(self, window_ns: float = 100_000.0):
         if window_ns <= 0:

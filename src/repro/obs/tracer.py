@@ -15,10 +15,10 @@ the export maps processes to Perfetto process rows (one per GPU, switch,
 or fabric) and threads to the rows inside them (one per SM slot, switch
 port, or merge-table bank).
 
-Zero-cost-when-disabled contract: hot paths hold a reference to the
-module-level tracer and guard every call with ``if tracer.enabled:`` — the
-:class:`NullTracer` never allocates, so a disabled run pays one attribute
-read per potential event (see DESIGN.md, "Observability").
+Zero-cost-when-disabled contract: components capture the installed
+tracer at construction (``None`` when tracing is off) and guard every call
+with ``is not None``, so a disabled run pays one identity test per
+potential event (see DESIGN.md, "Observability").
 """
 
 from __future__ import annotations
@@ -26,58 +26,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 
-class NullTracer:
-    """No-op stand-in installed by default; every method does nothing.
-
-    ``enabled`` is False so instrumented code can skip argument
-    construction entirely instead of calling into the null object.
-    """
-
-    enabled = False
-    __slots__ = ()
-
-    def track(self, process: str, thread: str) -> int:
-        return 0
-
-    def begin(self, track: int, name: str, ts_ns: float,
-              cat: str = "", args: Optional[dict] = None) -> int:
-        return 0
-
-    def end(self, handle: int, ts_ns: float) -> None:
-        pass
-
-    def instant(self, track: int, name: str, ts_ns: float,
-                cat: str = "", args: Optional[dict] = None) -> None:
-        pass
-
-    def counter(self, track: int, name: str, ts_ns: float,
-                value: float) -> None:
-        pass
-
-    def async_begin(self, track: int, name: str, aid: int, ts_ns: float,
-                    cat: str = "", args: Optional[dict] = None) -> None:
-        pass
-
-    def async_end(self, track: int, name: str, aid: int, ts_ns: float,
-                  cat: str = "", args: Optional[dict] = None) -> None:
-        pass
-
-    def flow_start(self, track: int, name: str, fid: int, ts_ns: float,
-                   cat: str = "") -> None:
-        pass
-
-    def flow_end(self, track: int, name: str, fid: int, ts_ns: float,
-                 cat: str = "") -> None:
-        pass
-
-    def flush(self, ts_ns: float) -> int:
-        return 0
-
-
 class Tracer:
     """Recording tracer; see the module docstring for the data model."""
-
-    enabled = True
 
     def __init__(self) -> None:
         # (process, thread) -> track index; registration order fixes the

@@ -32,8 +32,7 @@ from ..llm.tiling import TilingConfig
 from ..metrics.merge_stats import MergeStats
 from ..metrics.timeline import Timeline
 from ..nvls.engine import NvlsEngine
-from ..obs import (current_causality, current_metrics, current_request_log,
-                   current_timeseries, current_tracer)
+from .. import obs
 from ..obs.critical_path import CriticalPath, annotate_tracer, \
     extract_critical_path
 from ..obs.timeseries import annotate_windows
@@ -266,11 +265,12 @@ class Harness:
         # appear flagged instead of vanishing), and publish final engine
         # health gauges.
         self.timeline.flush(makespan)
-        tracer = current_tracer()
-        if tracer.enabled:
+        sinks = obs.current()
+        tracer = sinks.tracer
+        if tracer is not None:
             tracer.flush(makespan)
         self.sim.publish_metrics()
-        metrics = current_metrics()
+        metrics = sinks.metrics
         if self.fault_state is not None:
             merged = self.fault_state.counters.as_details()
             merged.update(details)
@@ -278,22 +278,21 @@ class Harness:
         for key, value in self._fastpath_details().items():
             details.setdefault(key, value)
         critical_path: Optional[CriticalPath] = None
-        cz = current_causality()
-        if cz.enabled and len(cz):
+        cz = sinks.causality
+        if cz is not None and len(cz):
             # Makespan attribution: walk the causal DAG back from the
             # makespan-defining event; verify() guarantees the per-category
             # nanoseconds sum exactly to the makespan.
             critical_path = extract_critical_path(cz, makespan)
             for category, ns in sorted(critical_path.attribution().items()):
                 details[f"explain.{category}"] = ns
-                if metrics.enabled:
+                if metrics is not None:
                     metrics.gauge(f"explain.{category}_ns").set(ns)
-            if tracer.enabled:
+            if tracer is not None:
                 annotate_tracer(tracer, critical_path)
-        ts = current_timeseries()
-        if ts.enabled and tracer.enabled:
+        ts = sinks.timeseries
+        if ts is not None and tracer is not None:
             annotate_windows(tracer, ts, makespan)
-        reqlog = current_request_log()
         self._unwire()
         return RunResult(system=system, makespan_ns=makespan,
                          compute_ns=self.executor.total_compute_ns,
@@ -303,11 +302,11 @@ class Harness:
                          network=self.network,
                          gpu_utilization=gpu_util,
                          timeline=self.timeline,
-                         metrics=metrics if metrics.enabled else None,
+                         metrics=metrics,
                          details=dict(details),
                          critical_path=critical_path,
-                         timeseries=ts if ts.enabled else None,
-                         request_log=reqlog if reqlog.enabled else None)
+                         timeseries=ts,
+                         request_log=sinks.request_log)
 
 
 class CommImpl(Protocol):

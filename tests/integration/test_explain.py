@@ -103,3 +103,14 @@ def test_run_with_recorder_folds_attribution_into_details(paths):
     assert keys
     total = math.fsum(result.details[k] for k in keys)
     assert total == result.makespan_ns
+
+
+def test_explain_runs_keeps_the_callers_sinks():
+    """Each system's recorder is installed for its run only: a registry
+    the caller installed is still installed afterwards."""
+    reg = obs.MetricsRegistry()
+    obs.install(metrics=reg)
+    before = obs.current()
+    explain_runs(MODEL, "L1", ["TP-NVLS"], gpus=8, seed=1, scale=0.03125)
+    assert obs.current() is before
+    assert obs.current().metrics is reg

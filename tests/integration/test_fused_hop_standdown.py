@@ -69,12 +69,9 @@ def test_default_build_fuses_every_up_link():
 @contextmanager
 def _installed(sinks, layers):
     """Fresh observability sinks and a fast-path config for one run."""
-    obs.install(**{name: sink() for name, sink in sinks.items()})
-    try:
-        with fastpath.overridden(layers):
-            yield
-    finally:
-        obs.reset()
+    with obs.installed(**{name: sink() for name, sink in sinks.items()}), \
+            fastpath.overridden(layers):
+        yield
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -33,7 +33,7 @@ def test_cached_rerun_reproduces_table_without_simulating(tmp_path):
     first = _table(ExecContext(jobs=1, cache=SimCache(root=str(tmp_path))))
     obs.install(metrics=obs.MetricsRegistry())
     try:
-        metrics = obs.current_metrics()
+        metrics = obs.current().metrics
         # Fresh SimCache instance: everything must come off disk.
         second = _table(ExecContext(jobs=1,
                                     cache=SimCache(root=str(tmp_path))))
@@ -51,7 +51,7 @@ def test_cache_keeps_runs_separate_across_scales(tmp_path):
     _table(ctx)
     obs.install(metrics=obs.MetricsRegistry())
     try:
-        metrics = obs.current_metrics()
+        metrics = obs.current().metrics
         fig12_sublayer.run(dataclasses.replace(QUICK, tokens_fraction=0.25), ctx=ctx, **SLICE)
         assert metrics.counter("cache.hits").value == 0
     finally:

@@ -6,7 +6,7 @@ from repro import obs
 from repro.common.events import Simulator
 from repro.obs.causality import (CATEGORIES, EDGE_CATEGORY, GEMM_COMPUTE,
                                  LINK_SERIALIZATION, NO_CAUSE,
-                                 CausalityRecorder, NullCausality)
+                                 CausalityRecorder)
 
 
 @pytest.fixture(autouse=True)
@@ -48,22 +48,13 @@ def test_every_edge_kind_maps_to_a_category():
 
 
 # ---------------------------------------------------------------------------
-# Null object (the disabled path)
+# The disabled path
 # ---------------------------------------------------------------------------
 
-def test_null_causality_is_inert_and_immutable():
-    null = NullCausality()
-    assert not null.enabled
-    assert null.current == NO_CAUSE
-    assert null.node(GEMM_COMPUTE, 0.0, 1.0) == NO_CAUSE
-    # The null object is shared; accidental per-run state would leak
-    # between runs, so instance assignment must fail loudly.
-    with pytest.raises(AttributeError):
-        null.current = 5
-
-
 def test_default_ambient_is_null():
-    assert not obs.current_causality().enabled
+    assert obs.current().causality is None
+    # Without a recorder a timer still carries a cause: NO_CAUSE.
+    assert Simulator().timer(1.0, lambda: None).cause == NO_CAUSE
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,8 @@ class TestLinkBackpressure:
         link.send(self.data(Op.RED_CAIS))
         link.send(self.data(Op.RED_CAIS))       # one serializing, one queued
         link.send(self.data(Op.LD_CAIS_RESP))
-        assert link.queue_depth(TrafficClass.REDUCTION) == 1
-        assert link.queue_depth(TrafficClass.LOAD) == 1
+        assert len(link._queues[TrafficClass.REDUCTION.vc]) == 1
+        assert len(link._queues[TrafficClass.LOAD.vc]) == 1
         assert link.queue_depth() == 2
 
 

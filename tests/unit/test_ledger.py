@@ -23,9 +23,9 @@ from repro.experiments.parallel import SimTask, _execute_task
 from repro.experiments.runner import Scale
 from repro.llm.graph import CommKind, GemmShape, Graph, LogicalOp, OpKind
 from repro.llm.tiling import TilingConfig
-from repro.obs.ledger import (LEDGER_ENV, LEDGER_SCHEMA, NullLedger,
-                              RunLedger, build_record, ledger_from_env,
-                              stable_line, stable_view, validate_record)
+from repro.obs.ledger import (LEDGER_ENV, LEDGER_SCHEMA, RunLedger,
+                              build_record, ledger_from_env, stable_line,
+                              stable_view, validate_record)
 
 SCALE = Scale(tokens_fraction=1.0,
               tiling=TilingConfig(chunk_bytes=32768, red_chunk_bytes=8192))
@@ -220,17 +220,11 @@ class TestRunLedger:
 
     def test_ledger_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv(LEDGER_ENV, raising=False)
-        assert isinstance(ledger_from_env(), NullLedger)
-        assert not ledger_from_env().enabled
+        assert ledger_from_env() is None
         monkeypatch.setenv(LEDGER_ENV, str(tmp_path / "led"))
         led = ledger_from_env()
-        assert isinstance(led, RunLedger) and led.enabled
+        assert isinstance(led, RunLedger)
         assert led.root == tmp_path / "led"
-
-    def test_null_ledger_is_inert(self):
-        led = NullLedger()
-        led.append({"anything": True})   # no validation, no I/O
-        assert led.records() == [] and len(led) == 0
 
 
 def _append_worker(args):

@@ -7,7 +7,7 @@ from repro.common.errors import SimulationError
 from repro.common.events import Simulator
 from repro.interconnect.link import Link
 from repro.interconnect.message import (
-    Message, Op, TrafficClass, gpu_node, switch_node)
+    VC_ORDER, Message, Op, TrafficClass, gpu_node, switch_node)
 
 
 def make_link(sim, bandwidth=100.0, latency=250.0, traffic_control=False):
@@ -98,7 +98,7 @@ def test_round_robin_interleaves_classes():
         link.send(data_msg(128, op=Op.RED_CAIS))
         link.send(data_msg(128, op=Op.LD_CAIS_RESP))
     sim.run()
-    classes = [m.traffic_class.value for _, m in delivered]
+    classes = [VC_ORDER[m.op.vc].value for _, m in delivered]
     # Strict alternation after the first pick.
     assert classes[:4] in (["reduction", "load", "reduction", "load"],
                            ["load", "reduction", "load", "reduction"])
@@ -137,7 +137,7 @@ def test_per_class_depth_and_room_on_traffic_control_link():
                       payload_bytes=128))
     for _ in range(2):
         link.send(Message(Op.SYNC_REQ, gpu_node(0), gpu_node(1)))
-    depths = {tc: link.queue_depth(tc) for tc in TrafficClass}
+    depths = {tc: len(link._queues[tc.vc]) for tc in TrafficClass}
     assert depths == {TrafficClass.REDUCTION: 3, TrafficClass.LOAD: 1,
                       TrafficClass.CONTROL: 2}
     assert link.queue_depth() == 6

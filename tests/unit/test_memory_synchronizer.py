@@ -12,6 +12,12 @@ from repro.interconnect.message import Address, Message, Op, gpu_node
 from repro.interconnect.network import Network
 
 
+def deliver(part, msg):
+    """Hand ``msg`` to its handler by the route table ``Gpu.receive``
+    binds (a missing route raises ``KeyError``)."""
+    type(part).ROUTES[msg.op](part, msg)
+
+
 def make_mc(local_value_fn=None):
     sim = Simulator()
     sent = []
@@ -39,15 +45,15 @@ class TestChunkCache:
         mc.fetch_remote(addr, 1024, True, 7, got.append)
         resp = Message(Op.LD_CAIS_RESP, gpu_node(1), gpu_node(0),
                        address=addr, payload=3.5, payload_bytes=1024)
-        assert mc.handle(resp)
+        deliver(mc, resp)
         assert got == [3.5, 3.5]
 
     def test_hit_after_fill_is_immediate(self):
         sim, mc, sent = make_mc()
         addr = Address(1, 0)
         mc.fetch_remote(addr, 64, True, 7, lambda v: None)
-        mc.handle(Message(Op.LD_CAIS_RESP, gpu_node(1), gpu_node(0),
-                          address=addr, payload=1.0))
+        deliver(mc, Message(Op.LD_CAIS_RESP, gpu_node(1), gpu_node(0),
+                            address=addr, payload=1.0))
         got = []
         mc.fetch_remote(addr, 64, True, 7, got.append)
         assert got == [1.0]
@@ -69,15 +75,15 @@ class TestChunkCache:
     def test_unexpected_fill_raises(self):
         sim, mc, sent = make_mc()
         with pytest.raises(ProtocolError):
-            mc.handle(Message(Op.LD_CAIS_RESP, gpu_node(1), gpu_node(0),
-                              address=Address(1, 0)))
+            deliver(mc, Message(Op.LD_CAIS_RESP, gpu_node(1), gpu_node(0),
+                                address=Address(1, 0)))
 
     def test_invalidate_keeps_pending_lines(self):
         sim, mc, sent = make_mc()
         ready, pending = Address(1, 0), Address(1, 64)
         mc.fetch_remote(ready, 64, True, 7, lambda v: None)
-        mc.handle(Message(Op.LD_CAIS_RESP, gpu_node(1), gpu_node(0),
-                          address=ready))
+        deliver(mc, Message(Op.LD_CAIS_RESP, gpu_node(1), gpu_node(0),
+                            address=ready))
         mc.fetch_remote(pending, 64, True, 7, lambda v: None)
         mc.invalidate_cache()
         assert mc.would_fetch(ready)        # dropped
@@ -91,9 +97,9 @@ class TestReductionSink:
         got = []
         mc.expect_reduction(addr, 3, got.append)
         mc.add_local_contribution(addr, 1.0)
-        mc.handle(Message(Op.STORE, gpu_node(1), gpu_node(0), address=addr,
-                          payload=2.0,
-                          meta={"reduced": True, "contributions": 2}))
+        deliver(mc, Message(Op.STORE, gpu_node(1), gpu_node(0), address=addr,
+                            payload=2.0,
+                            meta={"reduced": True, "contributions": 2}))
         assert got == [3.0]
 
     def test_contributions_before_registration(self):
@@ -125,7 +131,7 @@ class TestFillService:
         req = Message(Op.LOAD_REQ, ("sw", 0), gpu_node(0),
                       address=Address(0, 0),
                       meta={"merge_fill": True, "chunk_bytes": 512})
-        mc.handle(req)
+        deliver(mc, req)
         assert not sent
         sim.run()
         assert sim.now == pytest.approx(GpuSpec().hbm_latency_ns)
@@ -139,7 +145,7 @@ class TestFillService:
                       address=Address(0, 0),
                       meta={"direct": True, "requester": 5,
                             "chunk_bytes": 128})
-        mc.handle(req)
+        deliver(mc, req)
         sim.run()
         assert sent[0].op is Op.LOAD_RESP
         assert sent[0].dst == gpu_node(5)
@@ -149,7 +155,7 @@ class TestFillService:
         req = Message(Op.MULTIMEM_LD_REDUCE_GATHER, ("sw", 0), gpu_node(0),
                       address=Address(0, 0),
                       meta={"requester": 2, "chunk_bytes": 256})
-        mc.handle(req)
+        deliver(mc, req)
         sim.run()
         assert sent[0].op is Op.MULTIMEM_LD_REDUCE_RESP
         assert sent[0].meta["nvls_pull"]
@@ -162,14 +168,14 @@ class TestStoreSink:
         addr = Address(0, 0)
         got = []
         mc.on_chunk_stored(addr, got.append)
-        mc.handle(Message(Op.STORE, gpu_node(1), gpu_node(0), address=addr,
-                          payload="x"))
+        deliver(mc, Message(Op.STORE, gpu_node(1), gpu_node(0), address=addr,
+                            payload="x"))
         assert got == ["x"]
 
     def test_callback_when_already_stored(self):
         sim, mc, sent = make_mc()
         addr = Address(0, 0)
-        mc.handle(Message(Op.STORE, gpu_node(1), gpu_node(0), address=addr))
+        deliver(mc, Message(Op.STORE, gpu_node(1), gpu_node(0), address=addr))
         got = []
         mc.on_chunk_stored(addr, got.append)
         assert got == [None]
@@ -185,7 +191,7 @@ class TestSynchronizer:
             sw.attach_engine(table)
         syncs = [Synchronizer(net, g) for g in range(num_gpus)]
         for g, sync in enumerate(syncs):
-            net.register_gpu(g, lambda m, s=sync: s.handle(m))
+            net.register_gpu(g, lambda m, s=sync: deliver(s, m))
         return sim, syncs
 
     def test_release_fires_all_waiters(self):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.interconnect.message import (
-    Address, CONTROL_BYTES, Message, Op, TrafficClass, gpu_node, switch_node)
+    Address, CONTROL_BYTES, VC_ORDER, Message, Op, TrafficClass, gpu_node,
+    switch_node)
 
 
 def test_node_helpers():
@@ -53,7 +54,7 @@ def test_negative_payload_rejected():
 ])
 def test_traffic_class_assignment(op, expected):
     msg = Message(op, gpu_node(0), switch_node(0))
-    assert msg.traffic_class is expected
+    assert VC_ORDER[msg.op.vc] is expected
 
 
 def test_message_ids_unique():

@@ -10,12 +10,12 @@ from repro import obs
 from repro.common.events import Simulator
 from repro.experiments.parallel import _utilization_series
 from repro.metrics.timeline import Timeline
-from repro.obs.metrics import (Histogram, MetricsRegistry, NullMetrics,
+from repro.obs.metrics import (Histogram, MetricsRegistry,
                                merge_histogram_states)
 from repro.obs.perfetto import (to_chrome_trace, validate_chrome_trace,
                                 validate_trace_file, write_chrome_trace)
 from repro.obs.profiler import SimProfiler, owner_key
-from repro.obs.tracer import NullTracer, Tracer
+from repro.obs.tracer import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -93,18 +93,6 @@ def test_tracer_end_rejects_unknown_handle():
         tr.end(999, 50.0)                # never-issued handle
 
 
-def test_null_tracer_is_inert():
-    tr = NullTracer()
-    assert tr.enabled is False
-    h = tr.begin(tr.track("p", "t"), "x", 0.0)
-    tr.end(h, 1.0)
-    tr.instant(0, "x", 0.0)
-    tr.counter(0, "x", 0.0, 1)
-    tr.async_begin(0, "x", 1, 0.0)
-    tr.async_end(0, "x", 1, 0.0)
-    assert tr.flush(0.0) == 0
-
-
 def test_validator_rejects_malformed_events():
     assert validate_chrome_trace({"traceEvents": [{"ph": "X"}]})
     assert validate_chrome_trace([1, 2, 3])
@@ -161,16 +149,6 @@ def test_snapshot_json_is_deterministic():
     a, b = build(), build()
     assert a.to_json() == b.to_json()
     json.loads(a.to_json())              # valid JSON
-
-
-def test_null_metrics_is_inert():
-    reg = NullMetrics()
-    assert reg.enabled is False
-    reg.counter("x").inc()
-    reg.gauge("y").set(3.0)
-    reg.histogram("z").record(1.0)
-    assert reg.snapshot() == {"counters": {}, "gauges": {},
-                              "histograms": {}}
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +292,12 @@ def test_utilization_series_window_count_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# Null-path overhead micro-benchmark
+# Disabled-path overhead micro-benchmark
 # ---------------------------------------------------------------------------
 
 def test_disabled_observability_overhead_is_negligible():
-    """With the null sinks installed, firing an event costs microseconds —
-    the guard is one attribute read.  The bound is deliberately generous
+    """With no sinks installed, firing an event costs microseconds —
+    the guard is one identity test.  The bound is deliberately generous
     (50 us/event) so the test never flakes, while still catching a
     pathological regression such as recording while disabled."""
     n = 20_000
@@ -341,9 +319,69 @@ def test_disabled_run_records_nothing():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.run()
-    assert obs.current_tracer().enabled is False
-    assert obs.current_metrics().enabled is False
-    assert obs.current_profiler() is None
+    assert obs.current() == obs.ObsContext()
+    assert all(getattr(obs.current(), f) is None for f in (
+        "tracer", "metrics", "profiler", "causality", "timeseries",
+        "request_log"))
+
+
+# ---------------------------------------------------------------------------
+# The installed context
+# ---------------------------------------------------------------------------
+
+
+def test_install_sets_only_named_fields_and_returns_previous():
+    tracer, reg = Tracer(), MetricsRegistry()
+    before = obs.current()
+    assert obs.install(tracer=tracer) is before
+    after_tracer = obs.current()
+    assert obs.install(metrics=reg) is after_tracer
+    ctx = obs.current()
+    assert ctx.tracer is tracer and ctx.metrics is reg
+    assert ctx.profiler is None and ctx.causality is None
+
+
+def test_install_none_turns_a_sink_off():
+    reg = MetricsRegistry()
+    obs.install(tracer=Tracer(), metrics=reg)
+    obs.install(tracer=None)
+    assert obs.current().tracer is None
+    assert obs.current().metrics is reg
+
+
+def test_install_rejects_unknown_sink():
+    with pytest.raises(TypeError):
+        obs.install(bogus=Tracer())
+    assert obs.current() == obs.ObsContext()
+
+
+def test_installed_restores_on_exit_and_on_exception_and_nests():
+    outer_reg = MetricsRegistry()
+    obs.install(metrics=outer_reg)
+    outer = obs.current()
+    tracer, inner_reg = Tracer(), MetricsRegistry()
+    with obs.installed(tracer=tracer) as ctx:
+        assert ctx is obs.current()
+        assert ctx.tracer is tracer and ctx.metrics is outer_reg
+        with obs.installed(metrics=inner_reg):
+            assert obs.current().tracer is tracer
+            assert obs.current().metrics is inner_reg
+        assert obs.current() is ctx
+    assert obs.current() is outer
+    with pytest.raises(RuntimeError):
+        with obs.installed(metrics=None):
+            assert obs.current().metrics is None
+            raise RuntimeError("boom")
+    assert obs.current() is outer
+
+
+def test_reset_turns_every_sink_off():
+    obs.install(tracer=Tracer(), metrics=MetricsRegistry(),
+                profiler=SimProfiler(),
+                causality=obs.CausalityRecorder(),
+                timeseries=obs.TimeSeriesSink(), request_log=obs.RequestLog())
+    obs.reset()
+    assert obs.current() == obs.ObsContext()
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,23 @@ class TestHistogramEnvelope:
                 assert h.quantile(0.5) == \
                     Histogram.from_state(st1).quantile(0.5)
 
+    def test_private_registry_leaves_the_callers_context(self):
+        # The task records into a registry of its own and then restores
+        # the caller's context: empty, or holding the caller's registry,
+        # which the task must not touch.
+        obs.reset()
+        try:
+            _run_one(tiny_task(histograms=True))
+            assert obs.current() == obs.ObsContext()
+            reg = obs.MetricsRegistry()
+            obs.install(metrics=reg)
+            before = obs.current()
+            _run_one(tiny_task(histograms=True))
+            assert obs.current() is before
+            assert reg.snapshot() == obs.MetricsRegistry().snapshot()
+        finally:
+            obs.reset()
+
     def test_run_matrix_collects_histograms(self):
         ctx = ExecContext(jobs=1, cache=SimCache(root=None))
         out = run_matrix([tiny_task(histograms=True)], ctx)
@@ -253,7 +270,7 @@ class TestRunMatrix:
         cache = SimCache(root=str(tmp_path))
         obs.install(metrics=obs.MetricsRegistry())
         try:
-            metrics = obs.current_metrics()
+            metrics = obs.current().metrics
             run_matrix([tiny_task(seed=1)],
                        ExecContext(jobs=1, cache=cache))
             run_matrix([tiny_task(seed=2)],
@@ -267,7 +284,7 @@ class TestRunMatrix:
         cache = SimCache(root=str(tmp_path))
         obs.install(metrics=obs.MetricsRegistry())
         try:
-            metrics = obs.current_metrics()
+            metrics = obs.current().metrics
             ctx = ExecContext(jobs=1, cache=cache)
             run_matrix([tiny_task(), tiny_task()], ctx)   # dup task: 1 sim
             assert metrics.counter("cache.hits").value == 1

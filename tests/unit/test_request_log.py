@@ -6,8 +6,8 @@ from repro.obs.causality import (CausalityRecorder, GEMM_COMPUTE,
                                  LINK_SERIALIZATION, QUEUEING_WAIT,
                                  RETRANSMIT)
 from repro.obs.requests import (GROUPS, PHASE_DECODE, PHASE_KINDS,
-                                PHASE_PREFILL, PHASE_QUEUE, NullRequestLog,
-                                RequestLog, RequestRecord, category_shares)
+                                PHASE_PREFILL, PHASE_QUEUE, RequestLog,
+                                RequestRecord, category_shares)
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +159,6 @@ def test_request_log_snapshot_roundtrips_through_to_dict():
     snap = log.snapshot()
     assert len(snap) == 1
     assert snap[0] == rec.to_dict()
-
-
-def test_null_request_log_is_one_shared_record():
-    log = NullRequestLog()
-    assert log.enabled is False
-    rec = log.open(1, 0.0, 8, 1)
-    assert rec is log.get(999)
-    rec.phase(PHASE_PREFILL, 0.0, 10.0)
-    rec.event("evicted", 5.0)
-    rec.close(10.0)
-    assert rec.phases == [] and rec.events == [] and rec.evictions == 0
-    assert log.records() == []
 
 
 def test_phase_kind_constants_cover_report_order():

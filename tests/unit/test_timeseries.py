@@ -6,8 +6,7 @@ import math
 import pytest
 
 from repro.obs.metrics import EmptyDistributionWarning, Histogram
-from repro.obs.timeseries import (NullTimeSeries, TimeSeriesSink,
-                                  annotate_windows)
+from repro.obs.timeseries import TimeSeriesSink, annotate_windows
 from repro.obs.tracer import Tracer
 
 
@@ -129,23 +128,6 @@ def test_snapshot_is_json_and_deterministic():
     assert build() == build()
     loaded = json.loads(build())
     assert list(loaded["windows"][0]["counters"]) == ["a", "b"]
-
-
-# ---------------------------------------------------------------------------
-# Null sink
-# ---------------------------------------------------------------------------
-
-def test_null_timeseries_is_inert():
-    ts = NullTimeSeries()
-    assert ts.enabled is False
-    ts.counter("x").add(0.0, 1)
-    ts.gauge("x").set(0.0, 1.0)
-    ts.sketch("x").record(0.0, 1.0)
-    ts.mark_window(0.0, 1.0, "m")
-    assert ts.marks() == []
-    assert ts.snapshot() == {"window_ns": 0.0, "windows": [], "marks": []}
-    # The shared no-op instrument is one object, not one per name.
-    assert ts.counter("a") is ts.counter("b") is ts.sketch("c")
 
 
 # ---------------------------------------------------------------------------
